@@ -173,8 +173,6 @@ def cmd_compare(args) -> int:
     for engine in engines:
         if engine not in ENGINE_NAMES:
             raise IncompatibleConfig(f"unknown engine {engine!r}")
-    if len(engines) < 2:
-        raise IncompatibleConfig("compare needs at least 2 engines")
     if args.scenario:
         names = args.scenario.split(",")
         specs = {name: scenarios.lookup(name, seed=args.seed) for name in names}

@@ -88,10 +88,6 @@ class Block:
     def n_points(self) -> int:
         return self.stop - self.start
 
-    @property
-    def nbytes_per_dim(self) -> int:
-        return self.n_points * 8
-
 
 def generate(spec: ScenarioSpec) -> PointFile:
     """Sample n points from k seeded isotropic Gaussian blobs in the unit cube."""

@@ -1,17 +1,16 @@
 """Shared engine plumbing: the execution context handed to every engine and
-helpers for centroid persistence and deterministic partial-sum folding."""
+the SPMD loop of the collective engines."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import reduce
 
-from .. import wire
 from ..blockstore import BlockStore
+from ..collectives import CollectiveGroup
 from ..dataset import Block, ScenarioSpec
 from ..fabric import Cluster
-from ..kernel import CentroidSet, KMeansResult, PartialSums, converged, finalize, merge
+from ..kernel import CentroidSet, KMeansResult, converged, finalize
 
 
 class EngineFailure(RuntimeError):
@@ -51,43 +50,47 @@ def assign_blocks_contiguous(blocks: list[Block], workers: int) -> list[list[Blo
     return [blocks[w * per : (w + 1) * per] for w in range(workers)]
 
 
-def fold_partials(partials: list[PartialSums], k: int, dims: int) -> PartialSums:
-    if not partials:
-        return PartialSums.zero(k, dims)
-    return reduce(merge, partials)
+def run_spmd(ctx: EngineContext, worker_nodes: list[int], load,
+             local_partials) -> KMeansResult:
+    """The collective engines' program: one long-running worker per node
+    loads its contiguous run of blocks once, then every iteration computes
+    local partial sums, allreduces them and applies the same update.
 
+    ``load(ctx, node, blocks)`` returns the worker's resident data and
+    ``local_partials(ctx, data, centroids)`` its PartialSums; they are what
+    sets one engine apart from another."""
+    cluster = ctx.cluster
+    group = CollectiveGroup(cluster, worker_nodes, algorithm=ctx.collective,
+                            deterministic=ctx.deterministic, compress=ctx.compress)
+    per_worker = assign_blocks_contiguous(ctx.blocks, len(worker_nodes))
+    trajectory = [ctx.initial]
 
-def centroid_object(iteration: int) -> str:
-    return f"centroids/{iteration}"
+    def worker(rank: int) -> bool:
+        member = group.member(rank)
+        with cluster.metrics.phase("load"):
+            data = load(ctx, worker_nodes[rank], per_worker[rank])
+        cluster.metrics.note_generations(1)
+        current = ctx.initial
+        for _ in range(ctx.spec.max_iter):
+            with cluster.metrics.phase("compute"):
+                partial = local_partials(ctx, data, current)
+            with cluster.metrics.phase("collective"):
+                reduced = member.allreduce(partial)
+            nxt = finalize(reduced, current)
+            if rank == 0:
+                trajectory.append(nxt)
+                ctx.stamp_iteration()
+            done = converged(current, nxt, ctx.spec.epsilon)
+            current = nxt
+            if done:
+                break
+        return done
 
-
-def persist_centroids(store: BlockStore, node: int, centroids: CentroidSet) -> None:
-    store.write(node, centroid_object(centroids.iteration), wire.encode(centroids))
-
-
-def load_centroids(store: BlockStore, node: int, iteration: int) -> CentroidSet:
-    return wire.decode(store.read_object(node, centroid_object(iteration)))
-
-
-def drive_iterations(ctx: EngineContext, step) -> KMeansResult:
-    """Run the shared driver loop: ``step(current)`` produces the next
-    CentroidSet; stop at convergence or max_iter."""
-    current = ctx.initial
-    trajectory = [current]
-    done = False
-    iterations = 0
-    for _ in range(ctx.spec.max_iter):
-        nxt = step(current)
-        trajectory.append(nxt)
-        iterations += 1
-        ctx.stamp_iteration()
-        done = converged(current, nxt, ctx.spec.epsilon)
-        current = nxt
-        if done:
-            break
-    return KMeansResult(final=current, iterations=iterations,
-                        trajectory=trajectory, converged=done)
-
-
-def apply_update(partials: PartialSums, current: CentroidSet) -> CentroidSet:
-    return finalize(partials, current)
+    futures = [cluster.run_task(node, worker, rank, kind="worker")
+               for rank, node in enumerate(worker_nodes)]
+    try:
+        done = [fut.result() for fut in futures]
+    except Exception as exc:
+        raise EngineFailure(f"worker failed: {exc}") from exc
+    return KMeansResult(final=trajectory[-1], iterations=len(trajectory) - 1,
+                        trajectory=trajectory, converged=done[0])

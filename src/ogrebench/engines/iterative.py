@@ -6,16 +6,14 @@ per-iteration job launch, no per-iteration store round-trip."""
 
 from __future__ import annotations
 
-import queue
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from ..collectives import CollectiveGroup
-from ..kernel import (KMeansResult, PartialSums, assign_block, converged,
-                      finalize, partial_sums_from_assignment)
-from ..schedulers import MultilevelScheduler, ResourceRequest
-from .common import EngineContext, EngineFailure, assign_blocks_contiguous, fold_partials
+from ..kernel import (KMeansResult, PartialSums, assign_block, merge,
+                      partial_sums_from_assignment)
+from .common import EngineContext, run_spmd
 
 
 @dataclass(frozen=True)
@@ -29,82 +27,40 @@ class InMemoryPartition:
         self.points.setflags(write=False)
 
 
-def run_iterative_collective(ctx: EngineContext) -> KMeansResult:
-    scheduler = ctx.scheduler
-    if not isinstance(scheduler, MultilevelScheduler):
-        raise EngineFailure("iterative-collective needs the multi-level scheduler")
+def _load(ctx: EngineContext, node: int, blocks) -> list[InMemoryPartition]:
+    return [InMemoryPartition(ctx.store.read_block(node, b.index).copy(), 0)
+            for b in blocks]
+
+
+def _local_partials(ctx: EngineContext, base: list[InMemoryPartition],
+                    centroids) -> PartialSums:
+    # The previous iteration's intermediates are gone once this returns, so
+    # the peak is base + two derived generations.
     cluster = ctx.cluster
-    topo = cluster.topology
-    p = topo.node_count
-    # One long-running whole-node container per node; a single job submission
-    # for the entire run.
-    session = scheduler.submit_job("iterative-kmeans")
-    session.request_containers(ResourceRequest(
-        "iterative-kmeans", count=p, cores=topo.cores_per_node,
-        memory=topo.memory_per_node))
-    containers = session.wait_for_grants(p)
-    worker_nodes = sorted(c.node for c in containers)
-    group = CollectiveGroup(cluster, worker_nodes, algorithm=ctx.collective,
-                            deterministic=ctx.deterministic, compress=ctx.compress)
-    per_worker = assign_blocks_contiguous(ctx.blocks, p)
-    results: queue.Queue = queue.Queue()
-    k, dims = ctx.initial.k, ctx.initial.dims
+    assigned = []
+    for part in base:
+        cluster.charge_task_launch("thread")
+        codes = assign_block(part.points, centroids)
+        assigned.append((InMemoryPartition(part.points.copy(),
+                                           2 * centroids.iteration + 1), codes))
+    cluster.metrics.note_generations(2)
+    partials = []
+    for part, codes in assigned:
+        cluster.charge_task_launch("thread")
+        partials.append(partial_sums_from_assignment(part.points, codes,
+                                                     centroids.k))
+    cluster.metrics.note_generations(3)
+    if not partials:
+        return PartialSums.zero(centroids.k, centroids.dims)
+    return reduce(merge, partials)  # block order
 
-    def worker(rank: int):
-        node = worker_nodes[rank]
-        member = group.member(rank)
-        with cluster.metrics.phase("load"):
-            base = [InMemoryPartition(ctx.store.read_block(node, b.index).copy(), 0)
-                    for b in per_worker[rank]]
-        cluster.metrics.note_generations(1)
-        current = ctx.initial
-        for it in range(ctx.spec.max_iter):
-            # Previous iteration's intermediates are dropped before new ones
-            # are derived, so the peak is base + two derived generations.
-            with cluster.metrics.phase("compute"):
-                assigned = []
-                for part in base:
-                    cluster.charge_task_launch("thread")
-                    codes = assign_block(part.points, current)
-                    assigned.append((InMemoryPartition(part.points.copy(),
-                                                       2 * it + 1), codes))
-                cluster.metrics.note_generations(2)
-                partials = []
-                for part, codes in assigned:
-                    cluster.charge_task_launch("thread")
-                    partials.append(partial_sums_from_assignment(
-                        part.points, codes, k))
-                cluster.metrics.note_generations(3)
-                local = fold_partials(partials, k, dims)
-            with cluster.metrics.phase("collective"):
-                reduced = member.allreduce(local)
-            del assigned, partials
-            nxt = finalize(reduced, current)
-            if rank == 0:
-                results.put(nxt)
-                ctx.stamp_iteration()
-            done = converged(current, nxt, ctx.spec.epsilon)
-            current = nxt
-            if done:
-                break
-        return current
 
-    futures = [cluster.run_task(worker_nodes[r], worker, r, kind="worker")
-               for r in range(p)]
+def run_iterative_collective(ctx: EngineContext) -> KMeansResult:
+    # One long-running whole-node container per node; a single job
+    # submission for the entire run.
+    lease = ctx.scheduler.lease("iterative-kmeans",
+                                ctx.cluster.topology.node_count)
     try:
-        for fut in futures:
-            fut.result()
-    except Exception as exc:
-        raise EngineFailure(f"container worker failed: {exc}") from exc
+        return run_spmd(ctx, list(lease.nodes), _load, _local_partials)
     finally:
-        session.deregister()
-
-    trajectory = [ctx.initial]
-    while not results.empty():
-        trajectory.append(results.get())
-    iterations = len(trajectory) - 1
-    return KMeansResult(
-        final=trajectory[-1], iterations=iterations, trajectory=trajectory,
-        converged=converged(trajectory[-2], trajectory[-1], ctx.spec.epsilon)
-        if iterations else False,
-    )
+        lease.release()

@@ -4,7 +4,10 @@ closest centroid; the shuffle partitions records by key modulo the reducer
 count, sorts by key within each reducer input (spilling sorted runs to local
 temporary files past the buffer threshold), and reduce tasks average their
 key groups.  New centroids are persisted to the store and re-read at the next
-iteration's job start."""
+iteration's job start.
+
+The iteration loop, map body and reduce tail here are shared with the pilot
+engine; the two differ only in how map outputs reach the reducers."""
 
 from __future__ import annotations
 
@@ -13,40 +16,101 @@ import os
 import numpy as np
 
 from .. import wire
-from ..kernel import (CentroidSet, KMeansResult, assign_block, merge,
-                      partial_sums_from_assignment)
-from ..schedulers import (CentralizedScheduler, DecentralizedScheduler,
-                          JobRequest, MultilevelScheduler, ResourceRequest)
-from .common import (EngineContext, EngineFailure, centroid_object,
-                     drive_iterations, load_centroids, persist_centroids)
+from ..kernel import (CentroidSet, KMeansResult, PartialSums, assign_block,
+                      converged, merge, partial_sums_from_assignment)
+from ..schedulers import (DecentralizedScheduler, GrantEvent,
+                          MultilevelScheduler, ResourceRequest)
+from .common import EngineContext, EngineFailure
+
+
+def _centroid_object(iteration: int) -> str:
+    return f"centroids/{iteration}"
+
+
+def _reduce_object(iteration: int, r: int) -> str:
+    return f"reduce/{iteration}/r{r}"
+
+
+def _persist_centroids(ctx: EngineContext, centroids: CentroidSet) -> None:
+    ctx.store.write(0, _centroid_object(centroids.iteration),
+                    wire.encode(centroids))
+
+
+def map_block(ctx: EngineContext, node: int, block, iteration: int):
+    """Map body: read the iteration's centroids and the block, assign every
+    point.  Returns (points, codes)."""
+    centroids = wire.decode(ctx.store.read_object(node,
+                                                  _centroid_object(iteration)))
+    with ctx.cluster.metrics.phase("map"):
+        pts = ctx.store.read_block(node, block.index)
+        codes = assign_block(pts, centroids)
+    return pts, codes
+
+
+def write_means(ctx: EngineContext, node: int, iteration: int, r: int,
+                partial: PartialSums) -> None:
+    """Reduce tail: store the mean of every key reducer r saw."""
+    keys = np.flatnonzero(partial.counts)
+    means = partial.sums[keys] / partial.counts[keys, None]
+    ctx.store.write(node, _reduce_object(iteration, r),
+                    wire.encode(("reduced", keys, means)))
+
+
+def drive_store_iterations(ctx: EngineContext, run_tasks) -> KMeansResult:
+    """The store-exchange engines' loop.  ``run_tasks(iteration)`` runs the
+    iteration's map and reduce tasks, each reducer ending in write_means;
+    the update folds the reducers' means into the next centroids and
+    persists them for the next iteration's maps."""
+    _persist_centroids(ctx, ctx.initial)
+    current = ctx.initial
+    trajectory = [current]
+    done = False
+    for _ in range(ctx.spec.max_iter):
+        iteration = current.iteration
+        try:
+            run_tasks(iteration)
+        except EngineFailure:
+            raise
+        except Exception as exc:
+            raise EngineFailure(f"task failed: {exc}") from exc
+        with ctx.cluster.metrics.phase("update"):
+            coords = current.coords.copy()
+            for r in range(ctx.reducer_count):
+                _, keys, means = wire.decode(
+                    ctx.store.read_object(0, _reduce_object(iteration, r)))
+                coords[keys] = means
+            nxt = CentroidSet(coords, iteration + 1)
+            _persist_centroids(ctx, nxt)
+        trajectory.append(nxt)
+        ctx.stamp_iteration()
+        done = converged(current, nxt, ctx.spec.epsilon)
+        current = nxt
+        if done:
+            break
+    return KMeansResult(final=current, iterations=len(trajectory) - 1,
+                        trajectory=trajectory, converged=done)
 
 
 def _emit_map_outputs(ctx: EngineContext, node: int, block, iteration: int,
                       reducer_nodes: list[int]) -> None:
     """Map task body: assignment plus per-reducer shuffle record emission."""
     cluster = ctx.cluster
-    centroids = load_centroids(ctx.store, node, iteration)
-    with cluster.metrics.phase("map"):
-        pts = ctx.store.read_block(node, block.index)
-        codes = assign_block(pts, centroids)
+    pts, codes = map_block(ctx, node, block, iteration)
     with cluster.metrics.phase("shuffle"):
         r_count = len(reducer_nodes)
         owner = codes % r_count
         for r in range(r_count):
             mask = owner == r
             if ctx.combine:
-                sub = partial_sums_from_assignment(pts[mask], codes[mask],
-                                                   centroids.k)
-                payload = wire.encode(sub)
-                cluster.metrics.add("shuffle_bytes", len(payload))
-                cluster.metrics.add("shuffle_records", int(mask.sum()))
-                body = ("combined", block.index, payload)
+                kind = "combined"
+                payload = wire.encode(partial_sums_from_assignment(
+                    pts[mask], codes[mask], ctx.initial.k))
             else:
+                kind = "records"
                 payload = wire.encode_shuffle_records(codes[mask], pts[mask])
-                cluster.metrics.add("shuffle_bytes", len(payload))
-                cluster.metrics.add("shuffle_records", int(mask.sum()))
-                body = ("records", block.index, payload)
-            cluster.send(node, reducer_nodes[r], body,
+            cluster.metrics.add("shuffle_bytes", len(payload))
+            cluster.metrics.add("shuffle_records", int(mask.sum()))
+            cluster.send(node, reducer_nodes[r], (kind, block.index, payload),
                          tag=f"sh{iteration}:b{block.index}>r{r}")
 
 
@@ -104,18 +168,11 @@ def _reduce_task(ctx: EngineContext, node: int, r: int, iteration: int,
             else:
                 merged = np.empty(0, dtype=wire.shuffle_dtype(dims))
             partial = partial_sums_from_assignment(
-                merged["coords"].astype(np.float64), merged["key"].astype(np.int64), k
-            ) if len(merged) else None
+                merged["coords"].astype(np.float64),
+                merged["key"].astype(np.int64), k)
 
     with cluster.metrics.phase("reduce"):
-        if partial is None:
-            keys = np.empty(0, dtype=np.int64)
-            means = np.empty((0, dims))
-        else:
-            keys = np.flatnonzero(partial.counts)
-            means = partial.sums[keys] / partial.counts[keys, None]
-        out = wire.encode(("reduced", keys, means))
-        ctx.store.write(node, f"reduce/{iteration}/r{r}", out)
+        write_means(ctx, node, iteration, r, partial)
 
 
 def _run_map_wave(ctx: EngineContext, iteration: int,
@@ -125,12 +182,10 @@ def _run_map_wave(ctx: EngineContext, iteration: int,
     block index -> node the map ran on."""
     cluster = ctx.cluster
     scheduler = ctx.scheduler
-    blocks = {b.index: b for b in ctx.blocks}
-    placements: dict[int, int] = {}
 
     if isinstance(scheduler, MultilevelScheduler):
-        from ..schedulers import GrantEvent
-
+        blocks = {b.index: b for b in ctx.blocks}
+        placements: dict[int, int] = {}
         session = scheduler.submit_job(f"mr-{iteration}")
         try:
             for b in ctx.blocks:
@@ -162,75 +217,44 @@ def _run_map_wave(ctx: EngineContext, iteration: int,
             session.deregister()
         return placements
 
-    if isinstance(scheduler, CentralizedScheduler):
-        allocation = scheduler.submit_job(
-            JobRequest(f"mr-{iteration}", cluster.topology.node_count))
-        try:
-            # Job-level scheduling: no task visibility, no locality awareness.
-            placements = {b.index: allocation.nodes[b.index % len(allocation.nodes)]
-                          for b in ctx.blocks}
-            futures = [cluster.run_task(placements[b.index], _emit_map_outputs,
-                                        ctx, placements[b.index], b, iteration,
-                                        reducer_nodes, kind="process")
-                       for b in ctx.blocks]
-            for fut in futures:
-                fut.result()
-        finally:
-            scheduler.release(allocation)
-        return placements
-
     if isinstance(scheduler, DecentralizedScheduler):
         cluster.metrics.add("jobs_launched")
         cluster.costs.sleep_ms(cluster.costs.job_launch_ms)
-        try:
-            placements = {b.index: scheduler.place() for b in ctx.blocks}
-            futures = [cluster.run_task(placements[b.index], _emit_map_outputs,
-                                        ctx, placements[b.index], b, iteration,
-                                        reducer_nodes, kind="process")
-                       for b in ctx.blocks]
-            for fut in futures:
-                fut.result()
-        finally:
+        placements = {b.index: scheduler.place() for b in ctx.blocks}
+
+        def release():
             for node in placements.values():
                 scheduler.complete(node)
-        return placements
-
-    raise EngineFailure(f"mapreduce cannot run under {type(scheduler).__name__}")
+    else:
+        # Job-level scheduling: no task visibility, no locality awareness.
+        lease = scheduler.lease(f"mr-{iteration}", cluster.topology.node_count)
+        placements = {b.index: lease.nodes[b.index % len(lease.nodes)]
+                      for b in ctx.blocks}
+        release = lease.release
+    try:
+        futures = [cluster.run_task(placements[b.index], _emit_map_outputs,
+                                    ctx, placements[b.index], b, iteration,
+                                    reducer_nodes, kind="process")
+                   for b in ctx.blocks]
+        for fut in futures:
+            fut.result()
+    finally:
+        release()
+    return placements
 
 
 def run_mapreduce(ctx: EngineContext) -> KMeansResult:
     cluster = ctx.cluster
-    r_count = ctx.reducer_count
     node_count = cluster.topology.node_count
-    reducer_nodes = [r % node_count for r in range(r_count)]
-    persist_centroids(ctx.store, 0, ctx.initial)
+    reducer_nodes = [r % node_count for r in range(ctx.reducer_count)]
 
-    def step(current: CentroidSet) -> CentroidSet:
-        iteration = current.iteration
-        try:
-            placements = _run_map_wave(ctx, iteration, reducer_nodes)
-            sources = [(placements[b.index], b.index) for b in ctx.blocks]
-            red_futs = [
-                cluster.run_task(reducer_nodes[r], _reduce_task, ctx,
-                                 reducer_nodes[r], r, iteration, sources,
-                                 kind="process")
-                for r in range(r_count)
-            ]
-            for fut in red_futs:
-                fut.result()
-        except EngineFailure:
-            raise
-        except Exception as exc:
-            raise EngineFailure(f"task failed: {exc}") from exc
+    def run_tasks(iteration: int) -> None:
+        placements = _run_map_wave(ctx, iteration, reducer_nodes)
+        sources = [(placements[b.index], b.index) for b in ctx.blocks]
+        red_futs = [cluster.run_task(node, _reduce_task, ctx, node, r,
+                                     iteration, sources, kind="process")
+                    for r, node in enumerate(reducer_nodes)]
+        for fut in red_futs:
+            fut.result()
 
-        with cluster.metrics.phase("update"):
-            coords = current.coords.copy()
-            for r in range(r_count):
-                _, keys, means = wire.decode(
-                    ctx.store.read_object(0, f"reduce/{iteration}/r{r}"))
-                coords[keys] = means
-            nxt = CentroidSet(coords, iteration + 1)
-            persist_centroids(ctx.store, 0, nxt)
-        return nxt
-
-    return drive_iterations(ctx, step)
+    return drive_store_iterations(ctx, run_tasks)

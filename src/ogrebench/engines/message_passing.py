@@ -4,75 +4,30 @@ allreduce, zero store traffic after the initial load."""
 
 from __future__ import annotations
 
-import queue
-
 import numpy as np
 
-from ..collectives import CollectiveGroup
-from ..kernel import (KMeansResult, assign_block, converged, finalize,
-                      partial_sums_from_assignment, PartialSums)
-from ..schedulers import CentralizedScheduler, JobRequest
-from .common import EngineContext, EngineFailure, assign_blocks_contiguous
+from ..kernel import (KMeansResult, PartialSums, assign_block,
+                      partial_sums_from_assignment)
+from .common import EngineContext, run_spmd
+
+
+def _load(ctx: EngineContext, node: int, blocks) -> np.ndarray:
+    # Exactly one resident copy of the data per worker, mutated in place.
+    slices = [ctx.store.read_block(node, b.index) for b in blocks]
+    return np.concatenate(slices) if slices else np.empty((0, ctx.initial.dims))
+
+
+def _local_partials(ctx: EngineContext, local: np.ndarray,
+                    centroids) -> PartialSums:
+    if not len(local):
+        return PartialSums.zero(centroids.k, centroids.dims)
+    return partial_sums_from_assignment(local, assign_block(local, centroids),
+                                        centroids.k)
 
 
 def run_message_passing(ctx: EngineContext) -> KMeansResult:
-    scheduler = ctx.scheduler
-    if not isinstance(scheduler, CentralizedScheduler):
-        raise EngineFailure("message-passing needs a centralized gang allocation")
-    cluster = ctx.cluster
-    p = cluster.topology.node_count
-    allocation = scheduler.submit_job(JobRequest("mpi-kmeans", p))
-    worker_nodes = list(allocation.nodes)
-    group = CollectiveGroup(cluster, worker_nodes, algorithm=ctx.collective,
-                            deterministic=ctx.deterministic, compress=ctx.compress)
-    per_worker = assign_blocks_contiguous(ctx.blocks, p)
-    results: queue.Queue = queue.Queue()
-
-    def worker(rank: int):
-        node = worker_nodes[rank]
-        member = group.member(rank)
-        with cluster.metrics.phase("load"):
-            slices = [ctx.store.read_block(node, b.index) for b in per_worker[rank]]
-            local = (np.concatenate(slices) if slices
-                     else np.empty((0, ctx.initial.dims)))
-        # Exactly one resident copy of the data per worker, mutated in place.
-        cluster.metrics.note_generations(1)
-        current = ctx.initial
-        for _ in range(ctx.spec.max_iter):
-            with cluster.metrics.phase("compute"):
-                codes = assign_block(local, current) if len(local) else None
-                partial = (partial_sums_from_assignment(local, codes, current.k)
-                           if codes is not None
-                           else PartialSums.zero(current.k, current.dims))
-            with cluster.metrics.phase("collective"):
-                reduced = member.allreduce(partial)
-            nxt = finalize(reduced, current)
-            if rank == 0:
-                results.put(nxt)
-                ctx.stamp_iteration()
-            done = converged(current, nxt, ctx.spec.epsilon)
-            current = nxt
-            if done:
-                break
-        return current
-
-    futures = [cluster.run_task(worker_nodes[r], worker, r, kind="worker")
-               for r in range(p)]
+    lease = ctx.scheduler.lease("mpi-kmeans", ctx.cluster.topology.node_count)
     try:
-        for fut in futures:
-            fut.result()
-    except Exception as exc:
-        raise EngineFailure(f"worker failed: {exc}") from exc
+        return run_spmd(ctx, list(lease.nodes), _load, _local_partials)
     finally:
-        scheduler.release(allocation)
-
-    trajectory = [ctx.initial]
-    while not results.empty():
-        trajectory.append(results.get())
-    current = trajectory[-1]
-    iterations = len(trajectory) - 1
-    return KMeansResult(
-        final=current, iterations=iterations, trajectory=trajectory,
-        converged=converged(trajectory[-2], current, ctx.spec.epsilon)
-        if iterations else False,
-    )
+        lease.release()

@@ -8,94 +8,61 @@ from __future__ import annotations
 import numpy as np
 
 from .. import wire
-from ..kernel import (CentroidSet, KMeansResult, assign_block,
-                      partial_sums_from_assignment)
+from ..kernel import KMeansResult, partial_sums_from_assignment
 from ..schedulers import PilotShape, pilot_acquire
-from .common import (EngineContext, EngineFailure, drive_iterations,
-                     load_centroids, persist_centroids)
+from .common import EngineContext
+from .mapreduce import drive_store_iterations, map_block, write_means
 
 
-def _map_cu(ctx: EngineContext, node: int, block, iteration: int,
-            r_count: int) -> None:
-    cluster = ctx.cluster
-    centroids = load_centroids(ctx.store, node, iteration)
-    with cluster.metrics.phase("map"):
-        pts = ctx.store.read_block(node, block.index)
-        codes = assign_block(pts, centroids)
-    with cluster.metrics.phase("exchange"):
-        owner = codes % r_count
-        for r in range(r_count):
+def _map_cu(ctx: EngineContext, node: int, block, iteration: int) -> None:
+    pts, codes = map_block(ctx, node, block, iteration)
+    with ctx.cluster.metrics.phase("exchange"):
+        owner = codes % ctx.reducer_count
+        for r in range(ctx.reducer_count):
             mask = owner == r
             payload = wire.encode_shuffle_records(codes[mask], pts[mask])
             ctx.store.write(node, f"pilot/{iteration}/m{block.index}_r{r}", payload)
 
 
 def _reduce_cu(ctx: EngineContext, node: int, r: int, iteration: int) -> None:
-    cluster = ctx.cluster
-    dims = ctx.initial.dims
-    k = ctx.initial.k
-    with cluster.metrics.phase("exchange"):
+    with ctx.cluster.metrics.phase("exchange"):
         batches = [
             wire.decode_shuffle_records(
                 ctx.store.read_object(node, f"pilot/{iteration}/m{b.index}_r{r}"),
-                dims)
+                ctx.initial.dims)
             for b in ctx.blocks
         ]
-    with cluster.metrics.phase("reduce"):
+    with ctx.cluster.metrics.phase("reduce"):
         recs = np.concatenate(batches)
         # No sort: K-means reduction only needs per-key accumulation, and the
         # batches already arrive in block order.
-        if len(recs):
-            partial = partial_sums_from_assignment(
-                recs["coords"].astype(np.float64), recs["key"].astype(np.int64), k)
-            keys = np.flatnonzero(partial.counts)
-            means = partial.sums[keys] / partial.counts[keys, None]
-        else:
-            keys = np.empty(0, dtype=np.int64)
-            means = np.empty((0, dims))
-        ctx.store.write(node, f"pilot/{iteration}/red{r}",
-                        wire.encode(("reduced", keys, means)))
+        partial = partial_sums_from_assignment(
+            recs["coords"].astype(np.float64), recs["key"].astype(np.int64),
+            ctx.initial.k)
+        write_means(ctx, node, iteration, r, partial)
 
 
 def run_pilot_mapreduce(ctx: EngineContext) -> KMeansResult:
-    cluster = ctx.cluster
-    node_count = cluster.topology.node_count
-    r_count = ctx.reducer_count
-    pilot = pilot_acquire(cluster, ctx.scheduler, PilotShape(node_count),
+    pilot = pilot_acquire(ctx.cluster, ctx.scheduler,
+                          PilotShape(ctx.cluster.topology.node_count),
                           app_id="pilot-kmeans")
-    persist_centroids(ctx.store, 0, ctx.initial)
 
-    def step(current: CentroidSet) -> CentroidSet:
-        iteration = current.iteration
-        try:
-            map_futs = [pilot.submit_cu(_map_cu, ctx,
-                                        pilot.nodes[b.index % len(pilot.nodes)],
-                                        b, iteration, r_count,
-                                        node=pilot.nodes[b.index % len(pilot.nodes)])
-                        for b in ctx.blocks]
-            for fut in map_futs:
-                fut.result()
-            red_futs = [pilot.submit_cu(_reduce_cu, ctx,
-                                        pilot.nodes[r % len(pilot.nodes)], r,
-                                        iteration,
-                                        node=pilot.nodes[r % len(pilot.nodes)])
-                       for r in range(r_count)]
-            for fut in red_futs:
-                fut.result()
-        except Exception as exc:
-            raise EngineFailure(f"compute unit failed: {exc}") from exc
+    def on(i: int) -> int:
+        return pilot.nodes[i % len(pilot.nodes)]
 
-        with cluster.metrics.phase("update"):
-            coords = current.coords.copy()
-            for r in range(r_count):
-                _, keys, means = wire.decode(
-                    ctx.store.read_object(0, f"pilot/{iteration}/red{r}"))
-                coords[keys] = means
-            nxt = CentroidSet(coords, iteration + 1)
-            persist_centroids(ctx.store, 0, nxt)
-        return nxt
+    def run_tasks(iteration: int) -> None:
+        map_futs = [pilot.submit_cu(_map_cu, ctx, on(b.index), b, iteration,
+                                    node=on(b.index))
+                    for b in ctx.blocks]
+        for fut in map_futs:
+            fut.result()
+        red_futs = [pilot.submit_cu(_reduce_cu, ctx, on(r), r, iteration,
+                                    node=on(r))
+                    for r in range(ctx.reducer_count)]
+        for fut in red_futs:
+            fut.result()
 
     try:
-        return drive_iterations(ctx, step)
+        return drive_store_iterations(ctx, run_tasks)
     finally:
         pilot.shutdown()

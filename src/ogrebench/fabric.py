@@ -47,29 +47,12 @@ class Node:
         self._executor = ThreadPoolExecutor(
             max_workers=cores, thread_name_prefix=f"node{node_id}"
         )
-        self._pending = 0
-        self._pending_lock = threading.Lock()
         self.alive = True
-
-    @property
-    def queue_length(self) -> int:
-        """Outstanding tasks beyond free slots; probed by sampling schedulers."""
-        with self._pending_lock:
-            return max(0, self._pending - self.cores)
 
     def submit(self, fn, *args, **kwargs) -> Future:
         if not self.alive:
             raise NodeDown(f"node {self.id} is down")
-        with self._pending_lock:
-            self._pending += 1
-        fut = self._executor.submit(fn, *args, **kwargs)
-
-        def _done(_):
-            with self._pending_lock:
-                self._pending -= 1
-
-        fut.add_done_callback(_done)
-        return fut
+        return self._executor.submit(fn, *args, **kwargs)
 
     def shutdown(self):
         self.alive = False

@@ -98,10 +98,16 @@ def _check_dims(points: np.ndarray, centroids: CentroidSet) -> np.ndarray:
 
 
 def assign(point, centroids: CentroidSet) -> int:
-    """Index of the nearest centroid (squared Euclidean, ties to lowest index)."""
+    """Index of the nearest centroid (squared Euclidean, ties to lowest index).
+
+    Squares are summed one dimension at a time, in order, as ``vq`` does
+    below 5 dimensions, so an exact tie splits the same way in both."""
     pts = _check_dims(point, centroids)
-    diff = centroids.coords - pts[0]
-    return int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+    dist = np.zeros(centroids.k)
+    for j in range(centroids.dims):
+        diff = centroids.coords[:, j] - pts[0, j]
+        dist += diff * diff
+    return int(np.argmin(dist))
 
 
 def assign_block(points, centroids: CentroidSet) -> np.ndarray:

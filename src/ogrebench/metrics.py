@@ -10,29 +10,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-
-_COUNTERS = (
-    "network_messages",
-    "network_bytes",
-    "intra_node_messages",
-    "intra_node_bytes",
-    "shuffle_bytes",
-    "shuffle_records",
-    "shuffle_spills",
-    "store_bytes_read",
-    "store_bytes_written",
-    "store_reads",
-    "store_writes",
-    "locality_hits",
-    "locality_misses",
-    "shared_reads",
-    "jobs_launched",
-    "tasks_launched",
-    "collective_messages",
-    "collective_bytes",
-)
+from dataclasses import asdict, dataclass, field, replace
 
 
 @dataclass
@@ -59,10 +37,7 @@ class MetricsRecord:
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {name: getattr(self, name) for name in _COUNTERS}
-        out["peak_resident_generations"] = self.peak_resident_generations
-        out["phase_seconds"] = dict(self.phase_seconds)
-        return out
+        return asdict(self)
 
 
 class MetricsCollector:
@@ -98,7 +73,5 @@ class MetricsCollector:
 
     def snapshot(self) -> MetricsRecord:
         with self._lock:
-            rec = MetricsRecord(**{n: getattr(self._record, n) for n in _COUNTERS})
-            rec.peak_resident_generations = self._record.peak_resident_generations
-            rec.phase_seconds = dict(self._record.phase_seconds)
-            return rec
+            return replace(self._record,
+                           phase_seconds=dict(self._record.phase_seconds))

@@ -7,6 +7,7 @@ import os
 import statistics
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +34,17 @@ VERDICT_MIN_GAP = 0.20
 VERDICT_REPETITIONS = 3
 
 
-def workdir() -> str:
+@contextmanager
+def workdir():
+    """A run's scratch directory: ``OGREBENCH_WORKDIR`` if set, which is
+    kept, else a temporary directory removed when the run ends."""
     base = os.environ.get("OGREBENCH_WORKDIR")
     if base:
         os.makedirs(base, exist_ok=True)
-        return base
-    return tempfile.mkdtemp(prefix="ogrebench-")
+        yield base
+    else:
+        with tempfile.TemporaryDirectory(prefix="ogrebench-") as tmp:
+            yield tmp
 
 
 def _build_scheduler(name: str, cluster, seed: int):
@@ -62,35 +68,38 @@ def run(config: RunConfig, point_file: PointFile | None = None) -> RunOutcome:
     execute, report."""
     spec = config.spec
     metrics = MetricsCollector()
-    cluster = spawn_cluster(config.topology, config.costs, metrics)
-    try:
-        pf = point_file if point_file is not None else generate(spec)
-        block_points = config.block_points or default_block_points(
-            pf.n, config.topology.node_count)
-        blocks = partition(pf, block_points)
-        store = BlockStore(cluster, StoreMode(config.store_mode))
-        store.ingest(pf, blocks, config.replication, spec.seed)
-        initial = init_centroids(pf, spec.k_clusters, spec.seed)
-        scheduler = _build_scheduler(config.scheduler, cluster, spec.seed)
-        ctx = EngineContext(
-            cluster=cluster, store=store, scheduler=scheduler, spec=spec,
-            blocks=blocks, initial=initial, deterministic=config.deterministic,
-            collective=config.collective, compress=config.compress,
-            combine=config.combine, reducers=config.reducers,
-            spill_threshold=config.spill_threshold, workdir=workdir(),
-        )
-        start = time.perf_counter()
-        result = ENGINES[config.engine](ctx)
-        wall = time.perf_counter() - start
-        stamps = [start] + ctx.iteration_stamps
-        iteration_seconds = [b - a for a, b in zip(stamps, stamps[1:])]
-        objective = (kernel.objective(pf.points, result.final)
-                     if config.compute_objective else None)
-        report = RunReport.build(config, result, metrics.snapshot(), wall,
-                                 iteration_seconds, objective)
-        return RunOutcome(report, result)
-    finally:
-        cluster.shutdown()
+    # The cluster shuts down, waiting for every task, before the workdir goes.
+    with workdir() as scratch:
+        cluster = spawn_cluster(config.topology, config.costs, metrics)
+        try:
+            pf = point_file if point_file is not None else generate(spec)
+            block_points = config.block_points or default_block_points(
+                pf.n, config.topology.node_count)
+            blocks = partition(pf, block_points)
+            store = BlockStore(cluster, StoreMode(config.store_mode))
+            store.ingest(pf, blocks, config.replication, spec.seed)
+            initial = init_centroids(pf, spec.k_clusters, spec.seed)
+            scheduler = _build_scheduler(config.scheduler, cluster, spec.seed)
+            ctx = EngineContext(
+                cluster=cluster, store=store, scheduler=scheduler, spec=spec,
+                blocks=blocks, initial=initial,
+                deterministic=config.deterministic,
+                collective=config.collective, compress=config.compress,
+                combine=config.combine, reducers=config.reducers,
+                spill_threshold=config.spill_threshold, workdir=scratch,
+            )
+            start = time.perf_counter()
+            result = ENGINES[config.engine](ctx)
+            wall = time.perf_counter() - start
+            stamps = [start] + ctx.iteration_stamps
+            iteration_seconds = [b - a for a, b in zip(stamps, stamps[1:])]
+            objective = (kernel.objective(pf.points, result.final)
+                         if config.compute_objective else None)
+            report = RunReport.build(config, result, metrics.snapshot(), wall,
+                                     iteration_seconds, objective)
+            return RunOutcome(report, result)
+        finally:
+            cluster.shutdown()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import itertools
 import queue
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +58,6 @@ class UnknownContainer(SchedulerError):
 class JobRequest:
     app_id: str
     node_count: int
-    walltime_s: float = 0.0
-    gang: bool = True
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class ResourceRequest:
 
 class ContainerState(enum.Enum):
     GRANTED = "granted"
-    RUNNING = "running"
     RELEASED = "released"
     REVOKED = "revoked"
 
@@ -97,6 +95,14 @@ class Container:
 class GangAllocation:
     job: JobRequest
     nodes: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class NodeLease:
+    """Whole nodes held for one application, and how to give them back."""
+
+    nodes: tuple[int, ...]
+    release: Callable[[], None]
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,11 @@ class CentralizedScheduler:
         with self._cond:
             self._free.update(allocation.nodes)
             self._cond.notify_all()
+
+    def lease(self, app_id: str, n: int) -> NodeLease:
+        """n whole nodes as one gang job."""
+        allocation = self.submit_job(JobRequest(app_id, n))
+        return NodeLease(allocation.nodes, lambda: self.release(allocation))
 
     def free_nodes(self) -> int:
         with self._cond:
@@ -228,6 +239,18 @@ class MultilevelScheduler:
         self.cluster.metrics.add("jobs_launched")
         self.cluster.costs.sleep_ms(self.cluster.costs.job_launch_ms)
         return self.register_app_master(app_id)
+
+    def lease(self, app_id: str, n: int) -> NodeLease:
+        """n whole-node containers, one per node, under one job submission;
+        the lease holds them until the application deregisters."""
+        session = self.submit_job(app_id)
+        topo = self.cluster.topology
+        session.request_containers(ResourceRequest(
+            app_id, count=n, cores=topo.cores_per_node,
+            memory=topo.memory_per_node))
+        grants = session.wait_for_grants(n)
+        return NodeLease(tuple(sorted(c.node for c in grants)),
+                         session.deregister)
 
     def revoke_containers(self, session: AppMasterSession, container_ids) -> None:
         """Ask the application to give containers back; capacity returns when
@@ -402,12 +425,10 @@ class PilotHandle:
     """A placeholder allocation; compute units run inside it with no further
     resource-manager interaction."""
 
-    def __init__(self, cluster: Cluster, scheduler, allocation, nodes: tuple[int, ...],
-                 shape: PilotShape):
+    def __init__(self, cluster: Cluster, lease: NodeLease, shape: PilotShape):
         self.cluster = cluster
-        self._scheduler = scheduler
-        self._allocation = allocation
-        self.nodes = nodes
+        self._lease = lease
+        self.nodes = lease.nodes
         self.shape = shape
         self._cu_count = 0
 
@@ -430,25 +451,11 @@ class PilotHandle:
         return self.cluster.run_task(node, fn, *args, kind="cu")
 
     def shutdown(self) -> None:
-        if isinstance(self._scheduler, CentralizedScheduler):
-            self._scheduler.release(self._allocation)
-        else:
-            self._allocation.deregister()
+        self._lease.release()
 
 
 def pilot_acquire(cluster: Cluster, scheduler, shape: PilotShape,
                   app_id: str = "pilot") -> PilotHandle:
-    """Obtain the pilot's placeholder allocation with a single job submission."""
-    if isinstance(scheduler, CentralizedScheduler):
-        allocation = scheduler.submit_job(JobRequest(app_id, shape.node_count))
-        return PilotHandle(cluster, scheduler, allocation, allocation.nodes, shape)
-    if isinstance(scheduler, MultilevelScheduler):
-        session = scheduler.submit_job(app_id)
-        topo = cluster.topology
-        session.request_containers(ResourceRequest(
-            app_id, count=shape.node_count, cores=topo.cores_per_node,
-            memory=topo.memory_per_node))
-        grants = session.wait_for_grants(shape.node_count)
-        nodes = tuple(sorted(c.node for c in grants))
-        return PilotHandle(cluster, scheduler, session, nodes, shape)
-    raise SchedulerError(f"pilot cannot run over {type(scheduler).__name__}")
+    """Obtain the pilot's placeholder allocation with a single job submission
+    to a scheduler that leases whole nodes."""
+    return PilotHandle(cluster, scheduler.lease(app_id, shape.node_count), shape)

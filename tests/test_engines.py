@@ -1,5 +1,8 @@
 """Engine behavior: oracle equivalence, job accounting, shuffle byte
-formulas, persistence and copy asymmetries, and locality."""
+formulas, persistence and copy asymmetries, locality, and the workdir."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -205,3 +208,24 @@ class TestTopologies:
         want = reference_for(spec)
         assert runner.trajectories_match(outcome.result.trajectory,
                                          want.trajectory) is None
+
+
+class TestWorkdir:
+    def test_default_workdir_is_removed_after_the_run(self, monkeypatch):
+        monkeypatch.delenv("OGREBENCH_WORKDIR", raising=False)
+
+        def leftovers():
+            return {name for name in os.listdir(tempfile.gettempdir())
+                    if name.startswith("ogrebench-")}
+
+        before = leftovers()
+        outcome = run_cell("mapreduce", spec=ScenarioSpec(3_000, 30, seed=2),
+                           spill_threshold=4096)
+        assert outcome.report.metrics["shuffle_spills"] > 0
+        assert leftovers() <= before
+
+    def test_named_workdir_is_kept(self, monkeypatch, tmp_path):
+        base = tmp_path / "work"
+        monkeypatch.setenv("OGREBENCH_WORKDIR", str(base))
+        run_cell("mapreduce", spill_threshold=4096)
+        assert base.is_dir()

@@ -46,6 +46,15 @@ class TestAssign:
         for i, p in enumerate(pts):
             assert codes[i] == assign(p, cs)
 
+    def test_exact_tie_splits_like_block_assignment(self):
+        # The two distances are equal sums of the same squares in another
+        # order; summed dimension by dimension they are equal doubles, so
+        # both kernels pick index 0.
+        a, b = 31.327023920027244, 41.27555772777217
+        cs = centroids([a, b, a], [b, a, a])
+        point = np.array([-48.34723644714709] * 3)
+        assert assign(point, cs) == assign_block(point, cs)[0]
+
     @given(st.integers(0, 4), st.integers(2, 6))
     def test_block_ties_break_to_lowest_index(self, dup_at, k):
         # Duplicate centroids force an exact tie for every point.
