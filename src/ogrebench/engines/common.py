@@ -4,6 +4,7 @@ the SPMD loop of the collective engines."""
 from __future__ import annotations
 
 import time
+from concurrent.futures import FIRST_EXCEPTION, wait
 from dataclasses import dataclass, field
 
 from ..blockstore import BlockStore
@@ -88,9 +89,15 @@ def run_spmd(ctx: EngineContext, worker_nodes: list[int], load,
 
     futures = [cluster.run_task(node, worker, rank, kind="worker")
                for rank, node in enumerate(worker_nodes)]
-    try:
-        done = [fut.result() for fut in futures]
-    except Exception as exc:
-        raise EngineFailure(f"worker failed: {exc}") from exc
+    finished, _ = wait(futures, return_when=FIRST_EXCEPTION)
+    cause = next((fut.exception() for fut in futures
+                  if fut in finished and fut.exception() is not None), None)
+    if cause is not None:
+        # Peers blocked in recv would otherwise wait out its timeout.
+        cluster.abort(cause)
+        wait(futures)
+        raise EngineFailure(
+            f"worker failed: {type(cause).__name__}: {cause}") from cause
+    done = [fut.result() for fut in futures]
     return KMeansResult(final=trajectory[-1], iterations=len(trajectory) - 1,
                         trajectory=trajectory, converged=done[0])

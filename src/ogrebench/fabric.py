@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import queue
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +22,14 @@ from .metrics import MetricsCollector
 
 class NodeDown(RuntimeError):
     """Delivery to or execution on a node that has been shut down."""
+
+
+class ClusterAborted(RuntimeError):
+    """A receive interrupted because another task of the run failed."""
+
+
+# How long a blocked recv waits between checks for an abort.
+ABORT_POLL_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -70,16 +79,17 @@ class Cluster:
         self.nodes = [Node(i, topology.cores_per_node) for i in range(topology.node_count)]
         self._channels: dict[tuple[int, int, str], queue.Queue] = {}
         self._channels_lock = threading.Lock()
+        self._abort_cause: BaseException | None = None
 
     # -- messaging ---------------------------------------------------------
 
-    def _channel(self, src: int, dst: int, tag: str) -> queue.Queue:
-        key = (src, dst, tag)
-        with self._channels_lock:
-            chan = self._channels.get(key)
-            if chan is None:
-                chan = self._channels[key] = queue.Queue()
-            return chan
+    def _channel(self, key: tuple[int, int, str]) -> queue.Queue:
+        """The channel's queue, made if absent; the caller holds
+        _channels_lock."""
+        chan = self._channels.get(key)
+        if chan is None:
+            chan = self._channels[key] = queue.Queue()
+        return chan
 
     def send(self, src: int, dst: int, payload, tag: str = "",
              compressed: bool = False) -> int:
@@ -99,12 +109,45 @@ class Cluster:
             self.metrics.add("network_messages")
             self.metrics.add("network_bytes", nbytes)
             self.costs.charge_message(nbytes)
-        self._channel(src, dst, tag).put(data)
+        with self._channels_lock:
+            self._channel((src, dst, tag)).put(data)
         return nbytes
 
     def recv(self, src: int, dst: int, tag: str = "", timeout: float | None = 120.0):
-        data = self._channel(src, dst, tag).get(timeout=timeout)
+        """Next message on the (src, dst, tag) channel, which has one receiver
+        at a time.  A channel is dropped once drained; a later send makes a
+        new one.  Raises ClusterAborted, chained to the cause, once the run
+        is aborted, and queue.Empty after ``timeout`` seconds."""
+        key = (src, dst, tag)
+        with self._channels_lock:
+            chan = self._channel(key)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            if self._abort_cause is not None:
+                raise ClusterAborted(
+                    f"run aborted: {self._abort_cause!r}") from self._abort_cause
+            wait = ABORT_POLL_S
+            if deadline is not None:
+                wait = min(wait, max(deadline - time.monotonic(), 0.0))
+            try:
+                data = chan.get(timeout=wait)
+                break
+            except queue.Empty:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise
+        with self._channels_lock:
+            # A send takes this lock to put, so an empty channel that is
+            # still registered has no message in flight.
+            if chan.empty() and self._channels.get(key) is chan:
+                del self._channels[key]
         return wire.decode(data)
+
+    def abort(self, cause: BaseException) -> None:
+        """Make every blocked and later recv raise ClusterAborted from cause;
+        the first cause is kept."""
+        with self._channels_lock:
+            if self._abort_cause is None:
+                self._abort_cause = cause
 
     # -- task execution ----------------------------------------------------
 

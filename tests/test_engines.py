@@ -3,6 +3,8 @@ formulas, persistence and copy asymmetries, locality, and the workdir."""
 
 import os
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ogrebench.config import RunConfig
 from ogrebench.costs import ZERO_COSTS
 from ogrebench.dataset import ScenarioSpec, generate, init_centroids
 from ogrebench.engines import ENGINES
+from ogrebench.engines.common import EngineFailure
 from ogrebench.fabric import ClusterTopology
 
 TINY = ScenarioSpec(2_000, 20, dims=3, seed=11)
@@ -85,6 +88,66 @@ class TestOracleEquivalence:
         np.testing.assert_allclose(want.trajectory[1].coords,
                                    pf.points.mean(axis=0, keepdims=True))
         assert want.converged
+
+
+class TestTreeKernel:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_tree_path_matches_full_scan_bitwise(self, engine, monkeypatch):
+        # k above the crossover, so every assign_block call queries the
+        # tree.  The collective engines sum per block, so their trajectory
+        # differs from the reference's in the last bits; against the same
+        # engine on the full scan it must be identical.
+        spec = ScenarioSpec(10_000, 500, dims=3, seed=7, max_iter=4)
+        assert spec.k_clusters >= kernel.TREE_MIN_K
+        fast = run_cell(engine, spec=spec).result
+        monkeypatch.setattr(kernel, "TREE_MIN_K", spec.k_clusters + 1)
+        brute = run_cell(engine, spec=spec).result
+        assert len(fast.trajectory) == len(brute.trajectory)
+        for a, b in zip(fast.trajectory, brute.trajectory):
+            np.testing.assert_array_equal(a.coords, b.coords)
+        assert runner.trajectories_match(fast.trajectory,
+                                         reference_for(spec).trajectory) is None
+
+
+class TestRunHygiene:
+    @pytest.fixture
+    def clusters(self, monkeypatch):
+        spawned = []
+        real = runner.spawn_cluster
+
+        def spawn(*args, **kwargs):
+            spawned.append(real(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(runner, "spawn_cluster", spawn)
+        return spawned
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_no_channel_outlives_the_run(self, engine, clusters):
+        run_cell(engine)
+        assert clusters[0]._channels == {}
+
+    @pytest.mark.parametrize("engine", ["mpi-like", "iterative"])
+    def test_worker_failure_surfaces_fast_with_its_cause(self, engine,
+                                                         monkeypatch):
+        module = {"mpi-like": "message_passing", "iterative": "iterative"}
+        real = kernel.assign_block
+
+        def faulty(points, centroids):
+            if threading.current_thread().name.startswith("node1"):
+                raise RuntimeError("injected fault on node1")
+            return real(points, centroids)
+
+        monkeypatch.setattr(f"ogrebench.engines.{module[engine]}.assign_block",
+                            faulty)
+        before = set(threading.enumerate())
+        start = time.monotonic()
+        with pytest.raises(EngineFailure, match="injected fault on node1"):
+            run_cell(engine)
+        assert time.monotonic() - start < 2.0
+        assert not [t for t in threading.enumerate()
+                    if t not in before and t.name.startswith("node")
+                    and t.is_alive()]
 
 
 class TestSeedTotality:

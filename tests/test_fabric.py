@@ -1,6 +1,7 @@
 """Fabric behavior: topology, slot execution, metered messaging, and
 result independence from the injected-delay profile."""
 
+import sys
 import threading
 import time
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from ogrebench.costs import ZERO_COSTS, CostModel
-from ogrebench.fabric import ClusterTopology, NodeDown, spawn_cluster
+from ogrebench.fabric import (ClusterAborted, ClusterTopology, NodeDown,
+                             spawn_cluster)
 from ogrebench.kernel import PartialSums
 from ogrebench import wire
 
@@ -58,6 +60,66 @@ class TestMessaging:
             assert c.metrics.snapshot().network_bytes == 0
         finally:
             c.shutdown()
+
+    def test_drained_channel_is_dropped(self, cluster):
+        cluster.send(0, 1, "first", tag="t")
+        cluster.send(0, 1, "second", tag="t")
+        cluster.recv(0, 1, tag="t")
+        assert list(cluster._channels) == [(0, 1, "t")]
+        assert cluster.recv(0, 1, tag="t") == "second"
+        assert cluster._channels == {}
+        cluster.send(0, 1, "third", tag="t")
+        assert cluster.recv(0, 1, tag="t") == "third"
+
+    def test_racing_drops_lose_no_message(self, cluster):
+        # Receivers drain and drop their channels while senders recreate
+        # them; a send landing in a dropped queue would be lost, and the
+        # receiver would time out.
+        pairs, count = 8, 300
+        got = {pair: [] for pair in range(pairs)}
+
+        def sender(pair):
+            for i in range(count):
+                cluster.send(pair % 4, (pair + 1) % 4, i, tag=f"race{pair}")
+
+        def receiver(pair):
+            for _ in range(count):
+                got[pair].append(
+                    cluster.recv(pair % 4, (pair + 1) % 4, tag=f"race{pair}",
+                                 timeout=5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fn, args=(pair,))
+                       for pair in range(pairs) for fn in (sender, receiver)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {pair: list(range(count)) for pair in range(pairs)}
+        assert cluster._channels == {}
+
+    def test_abort_wakes_a_blocked_recv_with_the_cause(self, cluster):
+        cause = RuntimeError("peer broke")
+        got = []
+
+        def blocked():
+            try:
+                cluster.recv(0, 1, tag="never")
+            except ClusterAborted as exc:
+                got.append(exc)
+
+        waiter = threading.Thread(target=blocked)
+        waiter.start()
+        time.sleep(0.05)
+        cluster.abort(cause)
+        waiter.join(timeout=2)
+        assert not waiter.is_alive()
+        assert got and got[0].__cause__ is cause
 
     def test_unknown_node_rejected(self, cluster):
         with pytest.raises(KeyError):

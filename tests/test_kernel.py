@@ -1,6 +1,9 @@
 """Kernel mathematics: assignment, aggregation, update, convergence, and the
 sequential reference loop."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ogrebench import kernel
-from ogrebench.kernel import (CentroidSet, PartialSums, ShapeMismatch, assign,
-                              assign_block, converged, finalize, merge,
+from ogrebench.kernel import (TREE_MAX_DIMS, TREE_MIN_K, CentroidSet,
+                              PartialSums, ShapeMismatch, assign, assign_block,
+                              assign_block_brute, converged, finalize, merge,
                               objective, partial_sums, run_reference)
 
 # Hand-enumerable two-blob dataset: blob A around the origin, blob B far away.
@@ -66,6 +70,83 @@ class TestAssign:
     def test_empty_block(self):
         codes = assign_block(np.empty((0, 2)), centroids([0, 0]))
         assert codes.shape == (0,)
+
+
+class TestTreeAssignment:
+    """assign_block's KD-tree path against the full scan, code for code."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, TREE_MAX_DIMS),
+           st.sampled_from([TREE_MIN_K - 1, TREE_MIN_K, 3 * TREE_MIN_K]))
+    def test_matches_full_scan_on_tied_grids(self, seed, d, k):
+        # Coordinates on a coarse grid make exact ties between distinct
+        # centroids common; duplicated centroids and points lying on
+        # centroids add zero-distance ties.
+        rng = np.random.default_rng(seed)
+        cent = rng.integers(-6, 7, size=(k, d)) * 0.5
+        cent[rng.integers(0, k, k // 10)] = cent[rng.integers(0, k, k // 10)]
+        pts = rng.integers(-16, 17, size=(1_000, d)) * 0.25
+        pts[:200] = cent[rng.integers(0, k, 200)]
+        cs = CentroidSet(cent)
+        np.testing.assert_array_equal(assign_block(pts, cs),
+                                      assign_block_brute(pts, cs))
+
+    def test_summation_order_tie_above_crossover(self):
+        # The [a, b, a] / [b, a, a] tie, padded with far centroids so the
+        # tree path serves it: both distances are the same double.
+        a, b = 31.327023920027244, 41.27555772777217
+        far = 1e4 + np.arange(TREE_MIN_K * 3, dtype=float).reshape(-1, 3)
+        cs = CentroidSet(np.vstack([[[a, b, a], [b, a, a]], far]))
+        point = np.array([[-48.34723644714709] * 3])
+        assert assign_block(point, cs)[0] == assign_block_brute(point, cs)[0] == 0
+
+    def test_one_tree_per_centroid_set(self):
+        coords = np.random.default_rng(1).normal(size=(4 * TREE_MIN_K, 3))
+        tree = kernel._centroid_tree(CentroidSet(coords).coords)
+        assert kernel._centroid_tree(CentroidSet(coords.copy()).coords) is tree
+        assert kernel._centroid_tree(coords + 1) is not tree
+        # The same bytes in another shape are another centroid set.
+        assert kernel._centroid_tree(coords.reshape(-1, 4)) is not tree
+
+    def test_threads_sharing_the_tree_get_their_own_sets_codes(self):
+        # Threads alternate between two centroid sets, so the shared
+        # (key, tree) pair keeps being replaced under them.
+        rng = np.random.default_rng(2)
+        sets = [CentroidSet(rng.normal(size=(2 * TREE_MIN_K, 3)))
+                for _ in range(2)]
+        pts = rng.normal(size=(300, 3))
+        want = [assign_block_brute(pts, cs) for cs in sets]
+        bad = []
+
+        def worker(first):
+            for i in range(40):
+                which = (first + i) % 2
+                if not np.array_equal(assign_block(pts, sets[which]),
+                                      want[which]):
+                    bad.append(which)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_reference_does_not_use_the_fast_kernel(self, monkeypatch):
+        def broken(points, centroids):
+            raise AssertionError("run_reference called assign_block")
+
+        monkeypatch.setattr(kernel, "assign_block", broken)
+        result = run_reference(TWO_BLOBS, CentroidSet(TWO_BLOBS[:2].copy()),
+                               max_iter=3, epsilon=0.0)
+        assert result.iterations == 3
 
 
 class TestPartialSums:
