@@ -6,8 +6,15 @@ temporary files past the buffer threshold), and reduce tasks average their
 key groups.  New centroids are persisted to the store and re-read at the next
 iteration's job start.
 
-The iteration loop, map body and reduce tail here are shared with the pilot
-engine; the two differ only in how map outputs reach the reducers."""
+The iteration loop, map body, map-side split and reduce tail here are shared
+with the pilot engine; the two differ only in how map outputs reach the
+reducers.  The split (``reducer_outputs``) encodes a block's records once and
+cuts each reducer's bytes out of that encoding by a gather on raw fixed-size
+records, in point order.  A reducer's sort (``_sorted_run``, for every spill
+run and the final merge) is a stable sort on the keys cast to the smallest
+unsigned type that holds them, which numpy sorts by radix up to 16 bits.  A
+stable sort by key has one answer, so the runs, and the sums the reducer
+takes over them in order, do not depend on how they were computed."""
 
 from __future__ import annotations
 
@@ -72,7 +79,8 @@ def drive_store_iterations(ctx: EngineContext, run_tasks) -> KMeansResult:
         except EngineFailure:
             raise
         except Exception as exc:
-            raise EngineFailure(f"task failed: {exc}") from exc
+            raise EngineFailure(
+                f"task failed: {type(exc).__name__}: {exc}") from exc
         with ctx.cluster.metrics.phase("update"):
             coords = current.coords.copy()
             for r in range(ctx.reducer_count):
@@ -91,33 +99,64 @@ def drive_store_iterations(ctx: EngineContext, run_tasks) -> KMeansResult:
                         trajectory=trajectory, converged=done)
 
 
+def _raw_dtype(dtype: np.dtype) -> np.dtype:
+    """Opaque records of dtype's size: numpy gathers and concatenates them as
+    plain bytes, where it copies a structured record field by field."""
+    return np.dtype((np.void, dtype.itemsize))
+
+
+def concat_records(batches: list[np.ndarray]) -> np.ndarray:
+    """Shuffle record batches as one array, copied as raw bytes."""
+    dtype = batches[0].dtype
+    raw = [b.view(_raw_dtype(dtype)) for b in batches]
+    return (np.concatenate(raw) if len(raw) > 1 else raw[0]).view(dtype)
+
+
+def reducer_outputs(codes: np.ndarray, pts: np.ndarray, r_count: int,
+                    combine_k: int | None = None):
+    """Yield a map block's output for each reducer r in turn, as (record
+    count, payload): the points whose key modulo r_count is r, in point
+    order.  The payload is their shuffle records, gathered as raw bytes from
+    one encoding of the whole block, or with ``combine_k`` their partial sums
+    over that many keys."""
+    owner = codes % r_count
+    if combine_k is None:
+        raw = np.frombuffer(wire.encode_shuffle_records(codes, pts),
+                            dtype=_raw_dtype(wire.shuffle_dtype(pts.shape[1])))
+    for r in range(r_count):
+        i = np.flatnonzero(owner == r)
+        if combine_k is None:
+            yield len(i), raw.take(i).tobytes()
+        else:
+            yield len(i), wire.encode(partial_sums_from_assignment(
+                pts[i], codes[i], combine_k))
+
+
 def _emit_map_outputs(ctx: EngineContext, node: int, block, iteration: int,
                       reducer_nodes: list[int]) -> None:
     """Map task body: assignment plus per-reducer shuffle record emission."""
     cluster = ctx.cluster
     pts, codes = map_block(ctx, node, block, iteration)
     with cluster.metrics.phase("shuffle"):
-        r_count = len(reducer_nodes)
-        owner = codes % r_count
-        for r in range(r_count):
-            mask = owner == r
-            if ctx.combine:
-                kind = "combined"
-                payload = wire.encode(partial_sums_from_assignment(
-                    pts[mask], codes[mask], ctx.initial.k))
-            else:
-                kind = "records"
-                payload = wire.encode_shuffle_records(codes[mask], pts[mask])
+        kind = "combined" if ctx.combine else "records"
+        outputs = reducer_outputs(codes, pts, len(reducer_nodes),
+                                  ctx.initial.k if ctx.combine else None)
+        for r, (records, payload) in enumerate(outputs):
             cluster.metrics.add("shuffle_bytes", len(payload))
-            cluster.metrics.add("shuffle_records", int(mask.sum()))
+            cluster.metrics.add("shuffle_records", records)
             cluster.send(node, reducer_nodes[r], (kind, block.index, payload),
                          tag=f"sh{iteration}:b{block.index}>r{r}")
 
 
-def _sorted_run(batches: list[np.ndarray]) -> np.ndarray:
-    recs = np.concatenate(batches) if len(batches) > 1 else batches[0]
-    order = np.argsort(recs["key"], kind="stable")
-    return recs[order]
+def _sorted_run(batches: list[np.ndarray], k: int) -> np.ndarray:
+    """The batches' records, concatenated and stably sorted by key.  The
+    keys sort as the smallest unsigned type that holds k - 1, which numpy
+    sorts by radix up to 16 bits; a stable sort has one answer whatever the
+    key type."""
+    recs = concat_records(batches)
+    order = np.argsort(recs["key"].astype(np.min_scalar_type(k - 1)),
+                       kind="stable")
+    return recs.view(_raw_dtype(recs.dtype)).take(order).view(recs.dtype)
 
 
 def _reduce_task(ctx: EngineContext, node: int, r: int, iteration: int,
@@ -147,7 +186,7 @@ def _reduce_task(ctx: EngineContext, node: int, r: int, iteration: int,
             if buffered_bytes > ctx.spill_threshold:
                 path = os.path.join(
                     spill_dir, f"it{iteration}_r{r}_{len(runs)}.spill")
-                _sorted_run(buffered).tofile(path)
+                _sorted_run(buffered, k).tofile(path)
                 cluster.metrics.add("shuffle_spills")
                 runs.append(path)
                 buffered = []
@@ -160,16 +199,15 @@ def _reduce_task(ctx: EngineContext, node: int, r: int, iteration: int,
             for path in runs:
                 os.unlink(path)
             if buffered:
-                parts.append(_sorted_run(buffered))
+                parts.append(_sorted_run(buffered, k))
             if parts:
                 # Merge of key-sorted runs; stable, so within a key the
                 # original (block, point) order is preserved.
-                merged = _sorted_run(parts)
+                merged = _sorted_run(parts, k)
             else:
                 merged = np.empty(0, dtype=wire.shuffle_dtype(dims))
-            partial = partial_sums_from_assignment(
-                merged["coords"].astype(np.float64),
-                merged["key"].astype(np.int64), k)
+            partial = partial_sums_from_assignment(merged["coords"],
+                                                   merged["key"], k)
 
     with cluster.metrics.phase("reduce"):
         write_means(ctx, node, iteration, r, partial)

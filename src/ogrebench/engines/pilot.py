@@ -5,22 +5,19 @@ inside it.  Intermediate data moves as whole files through the store, one per
 
 from __future__ import annotations
 
-import numpy as np
-
 from .. import wire
 from ..kernel import KMeansResult, partial_sums_from_assignment
 from ..schedulers import PilotShape, pilot_acquire
 from .common import EngineContext
-from .mapreduce import drive_store_iterations, map_block, write_means
+from .mapreduce import (concat_records, drive_store_iterations, map_block,
+                        reducer_outputs, write_means)
 
 
 def _map_cu(ctx: EngineContext, node: int, block, iteration: int) -> None:
     pts, codes = map_block(ctx, node, block, iteration)
     with ctx.cluster.metrics.phase("exchange"):
-        owner = codes % ctx.reducer_count
-        for r in range(ctx.reducer_count):
-            mask = owner == r
-            payload = wire.encode_shuffle_records(codes[mask], pts[mask])
+        outputs = reducer_outputs(codes, pts, ctx.reducer_count)
+        for r, (_, payload) in enumerate(outputs):
             ctx.store.write(node, f"pilot/{iteration}/m{block.index}_r{r}", payload)
 
 
@@ -33,12 +30,11 @@ def _reduce_cu(ctx: EngineContext, node: int, r: int, iteration: int) -> None:
             for b in ctx.blocks
         ]
     with ctx.cluster.metrics.phase("reduce"):
-        recs = np.concatenate(batches)
+        recs = concat_records(batches)
         # No sort: K-means reduction only needs per-key accumulation, and the
         # batches already arrive in block order.
-        partial = partial_sums_from_assignment(
-            recs["coords"].astype(np.float64), recs["key"].astype(np.int64),
-            ctx.initial.k)
+        partial = partial_sums_from_assignment(recs["coords"], recs["key"],
+                                               ctx.initial.k)
         write_means(ctx, node, iteration, r, partial)
 
 

@@ -40,7 +40,7 @@ def shuffle_dtype(dims: int) -> np.dtype:
 def encode_shuffle_records(keys: np.ndarray, coords: np.ndarray) -> bytes:
     recs = np.empty(len(keys), dtype=shuffle_dtype(coords.shape[1]))
     recs["key"] = keys
-    recs["coords"] = coords
+    recs["coords"][...] = coords
     return recs.tobytes()
 
 
@@ -76,7 +76,8 @@ def encode_compressed(payload) -> bytes:
 
 def decode(data: bytes):
     tag, length = _FRAME.unpack_from(data)
-    body = data[_FRAME.size : _FRAME.size + length]
+    # A view, not a copy: a shuffle batch's frame is hundreds of kilobytes.
+    body = memoryview(data)[_FRAME.size : _FRAME.size + length]
     if len(body) != length:
         raise ValueError("truncated frame")
     if tag == _TAG_COMPRESSED:

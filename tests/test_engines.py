@@ -8,12 +8,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ogrebench import kernel, runner, wire
 from ogrebench.config import RunConfig
 from ogrebench.costs import ZERO_COSTS
 from ogrebench.dataset import ScenarioSpec, generate, init_centroids
 from ogrebench.engines import ENGINES
+from ogrebench.engines import mapreduce
 from ogrebench.engines.common import EngineFailure
 from ogrebench.fabric import ClusterTopology
 
@@ -127,22 +131,33 @@ class TestRunHygiene:
         run_cell(engine)
         assert clusters[0]._channels == {}
 
-    @pytest.mark.parametrize("engine", ["mpi-like", "iterative"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_worker_failure_surfaces_fast_with_its_cause(self, engine,
                                                          monkeypatch):
-        module = {"mpi-like": "message_passing", "iterative": "iterative"}
+        # The store engines get a bare KeyError, whose text is empty, so
+        # the message can name the cause only by its type.
+        injected = "RuntimeError: injected fault on node1"
+        module, fault, cause = {
+            "mpi-like": ("message_passing",
+                         lambda: RuntimeError("injected fault on node1"),
+                         injected),
+            "iterative": ("iterative",
+                          lambda: RuntimeError("injected fault on node1"),
+                          injected),
+            "mapreduce": ("mapreduce", KeyError, "task failed: KeyError: $"),
+            "pilot": ("mapreduce", KeyError, "task failed: KeyError: $"),
+        }[engine]
         real = kernel.assign_block
 
         def faulty(points, centroids):
             if threading.current_thread().name.startswith("node1"):
-                raise RuntimeError("injected fault on node1")
+                raise fault()
             return real(points, centroids)
 
-        monkeypatch.setattr(f"ogrebench.engines.{module[engine]}.assign_block",
-                            faulty)
+        monkeypatch.setattr(f"ogrebench.engines.{module}.assign_block", faulty)
         before = set(threading.enumerate())
         start = time.monotonic()
-        with pytest.raises(EngineFailure, match="injected fault on node1"):
+        with pytest.raises(EngineFailure, match=cause):
             run_cell(engine)
         assert time.monotonic() - start < 2.0
         assert not [t for t in threading.enumerate()
@@ -215,6 +230,51 @@ class TestShuffleAccounting:
         reducers = 4
         per_iter = blocks * reducers + reducers + 1
         assert m["store_writes"] == 2 + per_iter * outcome.result.iterations
+
+
+class TestShuffleCode:
+    """The map-side split and the reducer sort against the plain numpy
+    formulation of the same records."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(0, 120), r_count=st.integers(1, 5),
+           k=st.integers(1, 12), dims=st.integers(1, 4), data=st.data())
+    def test_reducer_outputs_equal_each_reducers_own_encoding(
+            self, n, r_count, k, dims, data):
+        # With k < r_count, and at small n, some reducers get no records.
+        codes = data.draw(hnp.arrays(st.sampled_from([np.int32, np.int64]), n,
+                                     elements=st.integers(0, k - 1)))
+        pts = data.draw(hnp.arrays(np.float64, (n, dims),
+                                   elements=st.floats(-1e6, 1e6)))
+        got = list(mapreduce.reducer_outputs(codes, pts, r_count))
+        combined = list(mapreduce.reducer_outputs(codes, pts, r_count, k))
+        assert len(got) == len(combined) == r_count
+        for r in range(r_count):
+            mask = codes % r_count == r
+            assert got[r] == (int(mask.sum()), wire.encode_shuffle_records(
+                codes[mask], pts[mask]))
+            assert combined[r] == (int(mask.sum()), wire.encode(
+                kernel.partial_sums_from_assignment(pts[mask], codes[mask],
+                                                    k)))
+
+    @pytest.mark.parametrize("batches", [1, 4])
+    @pytest.mark.parametrize("max_key", [255, 256, 65535, 65536])
+    def test_sorted_run_is_a_stable_sort_by_key(self, max_key, batches):
+        rng = np.random.default_rng(max_key + batches)
+        # Few distinct keys, so most records share a key with others and
+        # only a stable sort keeps their order.
+        pool = np.array([0, 1, max_key // 2, max_key - 1, max_key])
+        parts = []
+        for _ in range(batches):
+            n = int(rng.integers(50, 400))
+            keys = rng.choice(pool, n)
+            parts.append(wire.decode_shuffle_records(
+                wire.encode_shuffle_records(keys, rng.normal(size=(n, 3))), 3))
+        recs = np.concatenate(parts)
+        want = recs[np.argsort(recs["key"], kind="stable")]
+        got = mapreduce._sorted_run(parts, max_key + 1)
+        assert got.dtype == wire.shuffle_dtype(3)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPersistenceAsymmetry:
