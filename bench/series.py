@@ -5,7 +5,8 @@ alternating order, summarised per end-to-end metric.
         --workload data-bound --seeds 1 2 3 4 5 6 7 8 9 10 --out BENCH_<n>.json
 
 For every workload and seed, ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` runs once in each tree, each from that tree's own
+--seconds T --trace 0`` runs once in each tree, with T the change tree's
+``BENCHMARK.json`` ``run_seconds``, each from that tree's own
 directory, so each imports its own ``src/``.  The first side of a pair
 alternates from one seed to the next: the parent goes first on the first
 seed, the change on the second, and so on, so a drift of the host's speed
@@ -13,8 +14,11 @@ during the series does not land on one side only.  The names, units and
 better directions of the end-to-end metrics come from the change tree's
 ``BENCHMARK.json``.
 
-Per workload and metric the output has each side's median and quartiles
-over the seeds, every run's value, the number of pairs the change won (a
+A pair counts only if both of its runs produced metrics, passed their
+checks and failed as many operations as the other side; the others
+stay in the output, with the reason, but not in the summary.  Per workload
+and metric the output has each side's median and quartiles over the
+counted pairs, every run's value, the number of pairs the change won (a
 tie counts for neither side), the change of the medians as a share of the
 parent's, and the parent's quartile spread to compare that against.  It
 also records each run's exit code, check verdict and failed operations,
@@ -49,8 +53,12 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     start = time.monotonic()
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True,
-                          timeout=seconds * 10 + 120)
+    try:
+        proc = subprocess.run(command, cwd=tree, capture_output=True,
+                              text=True, timeout=seconds * 10 + 120)
+    except subprocess.TimeoutExpired as exc:
+        return {"exit": None, "wall_s": round(time.monotonic() - start, 3),
+                "error": [f"timed out after {exc.timeout:g} s"]}
     run = {"exit": proc.returncode,
            "wall_s": round(time.monotonic() - start, 3)}
     lines = proc.stdout.strip().splitlines()
@@ -63,6 +71,20 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
                failed=result["failed"],
                metrics={name: m["value"] for name, m in result["metrics"].items()})
     return run
+
+
+def excluded(pair: dict) -> str | None:
+    """Why a pair cannot be compared, or None: a run without metrics, a run
+    whose checks failed, or more failed operations on one side."""
+    for side in SIDES:
+        run = pair[side]
+        if "metrics" not in run:
+            return f"{side}: no metrics"
+        if not run["correct"]:
+            return f"{side}: checks failed"
+    if pair["parent"]["failed"] != pair["change"]["failed"]:
+        return "failed operations differ"
+    return None
 
 
 def series(trees: dict[str, str], workload: str, seeds: list[int],
@@ -79,8 +101,11 @@ def series(trees: dict[str, str], workload: str, seeds: list[int],
                   file=sys.stderr, flush=True)
         runs.append(pair)
 
-    complete = [p for p in runs
-                if all("metrics" in p[side] for side in SIDES)]
+    complete = []
+    for pair in runs:
+        pair["excluded"] = excluded(pair)
+        if pair["excluded"] is None:
+            complete.append(pair)
     metrics = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -117,8 +142,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, action="append",
                         help="a perfbench workload; repeat for several")
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
-    parser.add_argument("--seconds", type=float,
-                        help="per run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if len(args.seeds) < MIN_SEEDS:
@@ -130,7 +153,7 @@ def main(argv=None) -> int:
             parser.error(f"no perfbench/run.py under {tree}")
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as f:
         benchmark = json.load(f)
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
 
     out = {
         "script": "bench/series.py",

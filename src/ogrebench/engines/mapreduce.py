@@ -8,13 +8,15 @@ iteration's job start.
 
 The iteration loop, map body, map-side split and reduce tail here are shared
 with the pilot engine; the two differ only in how map outputs reach the
-reducers.  The split (``reducer_outputs``) encodes a block's records once and
-cuts each reducer's bytes out of that encoding by a gather on raw fixed-size
-records, in point order.  A reducer's sort (``_sorted_run``, for every spill
-run and the final merge) is a stable sort on the keys cast to the smallest
-unsigned type that holds them, which numpy sorts by radix up to 16 bits.  A
-stable sort by key has one answer, so the runs, and the sums the reducer
-takes over them in order, do not depend on how they were computed."""
+reducers.  The split (``reducer_outputs``) selects each reducer's points by
+index, in point order, and encodes that selection's records, so a map task
+holds at most one reducer's share of its block beside the block itself.  A
+reducer's sort (``_sorted_run``, for every spill run and the final merge)
+concatenates and gathers raw fixed-size records and is a stable sort on the
+keys cast to the smallest unsigned type that holds them, which numpy sorts
+by radix up to 16 bits.  A stable sort by key has one answer, so the runs,
+and the sums the reducer takes over them in order, do not depend on how
+they were computed."""
 
 from __future__ import annotations
 
@@ -115,18 +117,16 @@ def concat_records(batches: list[np.ndarray]) -> np.ndarray:
 def reducer_outputs(codes: np.ndarray, pts: np.ndarray, r_count: int,
                     combine_k: int | None = None):
     """Yield a map block's output for each reducer r in turn, as (record
-    count, payload): the points whose key modulo r_count is r, in point
-    order.  The payload is their shuffle records, gathered as raw bytes from
-    one encoding of the whole block, or with ``combine_k`` their partial sums
-    over that many keys."""
+    count, payload): the points whose key modulo r_count is r, selected by
+    index in point order.  The payload is their shuffle records, or with
+    ``combine_k`` their partial sums over that many keys.  Each reducer's
+    records are encoded from its own selection, so the largest transient
+    copy is one reducer's share of the block, never the whole block."""
     owner = codes % r_count
-    if combine_k is None:
-        raw = np.frombuffer(wire.encode_shuffle_records(codes, pts),
-                            dtype=_raw_dtype(wire.shuffle_dtype(pts.shape[1])))
     for r in range(r_count):
         i = np.flatnonzero(owner == r)
         if combine_k is None:
-            yield len(i), raw.take(i).tobytes()
+            yield len(i), wire.encode_shuffle_records(codes[i], pts[i])
         else:
             yield len(i), wire.encode(partial_sums_from_assignment(
                 pts[i], codes[i], combine_k))

@@ -5,6 +5,7 @@ import os
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestShuffleCode:
             assert combined[r] == (int(mask.sum()), wire.encode(
                 kernel.partial_sums_from_assignment(pts[mask], codes[mask],
                                                     k)))
+
+    def test_reducer_outputs_hold_no_whole_block_copy(self):
+        # The split's transient copies are one reducer's share at a time:
+        # with 16 reducers its peak stays below one encoding of the block.
+        n, r_count = 16_000, 16
+        rng = np.random.default_rng(0)
+        codes = rng.integers(0, 64, n)
+        pts = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _, payload in mapreduce.reducer_outputs(codes, pts, r_count):
+                del payload
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < n * wire.shuffle_record_size(3)
 
     @pytest.mark.parametrize("batches", [1, 4])
     @pytest.mark.parametrize("max_key", [255, 256, 65535, 65536])
