@@ -56,12 +56,6 @@ class BlockMap:
         return list(self.placements[block_id].replicas)
 
 
-@dataclass
-class StoreEvent:
-    op: str  # local_read | remote_read | shared_read | write | ingest
-    nbytes: int
-
-
 class BlockStore:
     """Run-lifetime store service: dataset blocks plus named byte objects."""
 
@@ -74,7 +68,6 @@ class BlockStore:
         self._block_map: BlockMap | None = None
         self._objects: dict[str, bytes] = {}
         self._lock = threading.Lock()
-        self.events: list[StoreEvent] = []
 
     # -- ingest and block reads -------------------------------------------
 
@@ -98,7 +91,6 @@ class BlockStore:
         self._points = pf.points
         self._block_map = BlockMap(self.mode, placements)
         nbytes = pf.nbytes
-        self._account("ingest", nbytes)
         self.metrics.add("store_bytes_written", nbytes)
         self.metrics.add("store_writes")
         return self._block_map
@@ -121,16 +113,14 @@ class BlockStore:
         nbytes = block.n_points * self._points.shape[1] * 8
         if self.mode is StoreMode.SHARED:
             self.metrics.add("shared_reads")
-            self._account("shared_read", nbytes, shared=True)
         elif reader_node in placement.replicas:
             self.metrics.add("locality_hits")
-            self._account("local_read", nbytes)
         else:
             self.metrics.add("locality_misses")
             self.metrics.add("network_messages")
             self.metrics.add("network_bytes", nbytes)
             self.costs.charge_message(nbytes)
-            self._account("remote_read", nbytes)
+        self.costs.charge_store(nbytes, shared=self.mode is StoreMode.SHARED)
         self.metrics.add("store_bytes_read", nbytes)
         self.metrics.add("store_reads")
         return self._points[block.start : block.stop]
@@ -144,7 +134,7 @@ class BlockStore:
             self._objects[name] = bytes(data)
         self.metrics.add("store_bytes_written", len(data))
         self.metrics.add("store_writes")
-        self._account("write", len(data), shared=self.mode is StoreMode.SHARED)
+        self.costs.charge_store(len(data), shared=self.mode is StoreMode.SHARED)
         return name
 
     def read_object(self, node: int, name: str) -> bytes:
@@ -154,16 +144,5 @@ class BlockStore:
             data = self._objects[name]
         self.metrics.add("store_bytes_read", len(data))
         self.metrics.add("store_reads")
-        self._account(
-            "shared_read" if self.mode is StoreMode.SHARED else "local_read",
-            len(data), shared=self.mode is StoreMode.SHARED,
-        )
+        self.costs.charge_store(len(data), shared=self.mode is StoreMode.SHARED)
         return data
-
-    # -- internals ---------------------------------------------------------
-
-    def _account(self, op: str, nbytes: int, shared: bool = False) -> None:
-        with self._lock:
-            self.events.append(StoreEvent(op, nbytes))
-        if op != "ingest":
-            self.costs.charge_store(nbytes, shared=shared)

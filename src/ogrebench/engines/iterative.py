@@ -58,9 +58,4 @@ def _local_partials(ctx: EngineContext, base: list[InMemoryPartition],
 def run_iterative_collective(ctx: EngineContext) -> KMeansResult:
     # One long-running whole-node container per node; a single job
     # submission for the entire run.
-    lease = ctx.scheduler.lease("iterative-kmeans",
-                                ctx.cluster.topology.node_count)
-    try:
-        return run_spmd(ctx, list(lease.nodes), _load, _local_partials)
-    finally:
-        lease.release()
+    return run_spmd(ctx, "iterative-kmeans", _load, _local_partials)

@@ -1,22 +1,16 @@
-"""MapReduce K-means: one fresh job per iteration.  Map tasks read their
-block (locality-preferred), emit one shuffle record per point keyed by the
-closest centroid; the shuffle partitions records by key modulo the reducer
-count, sorts by key within each reducer input (spilling sorted runs to local
-temporary files past the buffer threshold), and reduce tasks average their
-key groups.  New centroids are persisted to the store and re-read at the next
-iteration's job start.
+"""MapReduce K-means: one fresh job per iteration.  The scheduler places and
+runs the map wave; each map task reads its block and emits one shuffle
+record per point keyed by the closest centroid.  The shuffle partitions
+records by key modulo the reducer count and sorts by key within each reducer
+input (spilling sorted runs to local temporary files past the buffer
+threshold); reduce tasks average their key groups.  New centroids are
+persisted to the store and re-read at the next iteration's job start.
 
-The iteration loop, map body, map-side split and reduce tail here are shared
-with the pilot engine; the two differ only in how map outputs reach the
-reducers.  The split (``reducer_outputs``) selects each reducer's points by
-index, in point order, and encodes that selection's records, so a map task
-holds at most one reducer's share of its block beside the block itself.  A
-reducer's sort (``_sorted_run``, for every spill run and the final merge)
-concatenates and gathers raw fixed-size records and is a stable sort on the
-keys cast to the smallest unsigned type that holds them, which numpy sorts
-by radix up to 16 bits.  A stable sort by key has one answer, so the runs,
-and the sums the reducer takes over them in order, do not depend on how
-they were computed."""
+The iteration loop, map body, map-side split (``reducer_outputs``) and
+reduce tail here are shared with the pilot engine; the two differ only in
+how map outputs reach the reducers.  A stable sort by key has one answer,
+so a reducer's runs, and the sums it takes over them in order, do not
+depend on how they were sorted."""
 
 from __future__ import annotations
 
@@ -27,8 +21,6 @@ import numpy as np
 from .. import wire
 from ..kernel import (CentroidSet, KMeansResult, PartialSums, assign_block,
                       converged, merge, partial_sums_from_assignment)
-from ..schedulers import (DecentralizedScheduler, GrantEvent,
-                          MultilevelScheduler, ResourceRequest)
 from .common import EngineContext, EngineFailure
 
 
@@ -214,71 +206,12 @@ def _reduce_task(ctx: EngineContext, node: int, r: int, iteration: int,
 
 
 def _run_map_wave(ctx: EngineContext, iteration: int,
-                  reducer_nodes: list[int]) -> dict[int, int]:
-    """Submit one fresh job, place every map task (locality-preferred where
-    the scheduler supports it), run the wave, free the resources.  Returns
-    block index -> node the map ran on."""
-    cluster = ctx.cluster
-    scheduler = ctx.scheduler
-
-    if isinstance(scheduler, MultilevelScheduler):
-        blocks = {b.index: b for b in ctx.blocks}
-        placements: dict[int, int] = {}
-        session = scheduler.submit_job(f"mr-{iteration}")
-        try:
-            for b in ctx.blocks:
-                session.request_containers(ResourceRequest(
-                    session.app_id, count=1,
-                    preferred_nodes=tuple(ctx.store.locate(b.index)),
-                    tag=str(b.index)))
-            futures = []
-            granted = 0
-            while granted < len(ctx.blocks):
-                ev = session.next_event()
-                if not isinstance(ev, GrantEvent):
-                    continue
-                container = ev.container
-                block = blocks[int(container.request_tag)]
-                placements[block.index] = container.node
-                fut = cluster.run_task(container.node, _emit_map_outputs, ctx,
-                                       container.node, block, iteration,
-                                       reducer_nodes, kind="process")
-                # Elastic usage: the container goes back as soon as the map
-                # task completes, letting pending requests be granted.
-                fut.add_done_callback(
-                    lambda _f, c=container: session.release([c]))
-                futures.append(fut)
-                granted += 1
-            for fut in futures:
-                fut.result()
-        finally:
-            session.deregister()
-        return placements
-
-    if isinstance(scheduler, DecentralizedScheduler):
-        cluster.metrics.add("jobs_launched")
-        cluster.costs.sleep_ms(cluster.costs.job_launch_ms)
-        placements = {b.index: scheduler.place() for b in ctx.blocks}
-
-        def release():
-            for node in placements.values():
-                scheduler.complete(node)
-    else:
-        # Job-level scheduling: no task visibility, no locality awareness.
-        lease = scheduler.lease(f"mr-{iteration}", cluster.topology.node_count)
-        placements = {b.index: lease.nodes[b.index % len(lease.nodes)]
-                      for b in ctx.blocks}
-        release = lease.release
-    try:
-        futures = [cluster.run_task(placements[b.index], _emit_map_outputs,
-                                    ctx, placements[b.index], b, iteration,
-                                    reducer_nodes, kind="process")
-                   for b in ctx.blocks]
-        for fut in futures:
-            fut.result()
-    finally:
-        release()
-    return placements
+                  reducer_nodes: list[int]) -> list[int]:
+    """One map per block, preferring its replicas; the node each ran on."""
+    return ctx.scheduler.run_wave(
+        f"mr-{iteration}", [tuple(ctx.store.locate(b.index)) for b in ctx.blocks],
+        lambda i, node: _emit_map_outputs(ctx, node, ctx.blocks[i], iteration,
+                                          reducer_nodes))
 
 
 def run_mapreduce(ctx: EngineContext) -> KMeansResult:
@@ -288,11 +221,9 @@ def run_mapreduce(ctx: EngineContext) -> KMeansResult:
 
     def run_tasks(iteration: int) -> None:
         placements = _run_map_wave(ctx, iteration, reducer_nodes)
-        sources = [(placements[b.index], b.index) for b in ctx.blocks]
-        red_futs = [cluster.run_task(node, _reduce_task, ctx, node, r,
-                                     iteration, sources, kind="process")
-                    for r, node in enumerate(reducer_nodes)]
-        for fut in red_futs:
-            fut.result()
+        sources = [(node, b.index) for node, b in zip(placements, ctx.blocks)]
+        cluster.join([cluster.run_task(node, _reduce_task, ctx, node, r,
+                                       iteration, sources, kind="process")
+                      for r, node in enumerate(reducer_nodes)])
 
     return drive_store_iterations(ctx, run_tasks)

@@ -26,8 +26,4 @@ def _local_partials(ctx: EngineContext, local: np.ndarray,
 
 
 def run_message_passing(ctx: EngineContext) -> KMeansResult:
-    lease = ctx.scheduler.lease("mpi-kmeans", ctx.cluster.topology.node_count)
-    try:
-        return run_spmd(ctx, list(lease.nodes), _load, _local_partials)
-    finally:
-        lease.release()
+    return run_spmd(ctx, "mpi-kmeans", _load, _local_partials)

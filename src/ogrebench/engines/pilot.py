@@ -47,16 +47,12 @@ def run_pilot_mapreduce(ctx: EngineContext) -> KMeansResult:
         return pilot.nodes[i % len(pilot.nodes)]
 
     def run_tasks(iteration: int) -> None:
-        map_futs = [pilot.submit_cu(_map_cu, ctx, on(b.index), b, iteration,
-                                    node=on(b.index))
-                    for b in ctx.blocks]
-        for fut in map_futs:
-            fut.result()
-        red_futs = [pilot.submit_cu(_reduce_cu, ctx, on(r), r, iteration,
-                                    node=on(r))
-                    for r in range(ctx.reducer_count)]
-        for fut in red_futs:
-            fut.result()
+        ctx.cluster.join([pilot.submit_cu(_map_cu, ctx, on(b.index), b,
+                                          iteration, node=on(b.index))
+                          for b in ctx.blocks])
+        ctx.cluster.join([pilot.submit_cu(_reduce_cu, ctx, on(r), r, iteration,
+                                          node=on(r))
+                          for r in range(ctx.reducer_count)])
 
     try:
         return drive_store_iterations(ctx, run_tasks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from . import wire
@@ -123,14 +123,12 @@ class Cluster:
             chan = self._channel(key)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            if self._abort_cause is not None:
-                raise ClusterAborted(
-                    f"run aborted: {self._abort_cause!r}") from self._abort_cause
-            wait = ABORT_POLL_S
+            self.check_abort()
+            poll = ABORT_POLL_S
             if deadline is not None:
-                wait = min(wait, max(deadline - time.monotonic(), 0.0))
+                poll = min(poll, max(deadline - time.monotonic(), 0.0))
             try:
-                data = chan.get(timeout=wait)
+                data = chan.get(timeout=poll)
                 break
             except queue.Empty:
                 if deadline is not None and time.monotonic() >= deadline:
@@ -148,6 +146,13 @@ class Cluster:
         with self._channels_lock:
             if self._abort_cause is None:
                 self._abort_cause = cause
+
+    def check_abort(self) -> None:
+        """Raise ClusterAborted, chained to the cause, once the run is
+        aborted."""
+        if self._abort_cause is not None:
+            raise ClusterAborted(
+                f"run aborted: {self._abort_cause!r}") from self._abort_cause
 
     # -- task execution ----------------------------------------------------
 
@@ -172,6 +177,21 @@ class Cluster:
             return fn(*args)
 
         return node.submit(body)
+
+    def join(self, futures: list[Future]) -> list:
+        """The tasks' results in order.  On the first failure, or if the run
+        is already aborted, cancel the tasks that have not started, abort the
+        run, wait for every started task and raise the run's first cause."""
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        cause = next((fut.exception() for fut in futures
+                      if fut in done and fut.exception() is not None), None)
+        if cause is None and self._abort_cause is None:
+            return [fut.result() for fut in futures]
+        for fut in futures:
+            fut.cancel()
+        self.abort(cause)
+        wait(futures)
+        raise self._abort_cause
 
     # -- lifecycle ---------------------------------------------------------
 

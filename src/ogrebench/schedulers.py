@@ -11,6 +11,15 @@
   inside which compute units are slot-scheduled with no further
   resource-manager interaction.
 
+``run_wave(app_id, preferred, task)`` runs ``task(i, node)`` for each task
+of a wave and returns the node each ran on.  Centralized: one gang lease of
+every node, task i on leased node i mod n, preferences ignored.  Multi-level:
+one job, one tagged container per task preferring its nodes; a task starts
+as its grant arrives and frees its container as it ends.  Decentralized: its
+own job launch, then one sampled placement per task.  No slot goes back
+while a task on it still runs, and a failing task aborts the run before its
+own slot goes back, so no later task of the wave runs.
+
 The resource manager processes requests in a serialized (lock-protected)
 grant pass; pending requests are served FIFO and nodes are scanned in
 ascending id order, so grant streams are deterministic for a fixed call
@@ -105,6 +114,24 @@ class NodeLease:
     release: Callable[[], None]
 
 
+def _guarded(cluster: Cluster, task, i: int, node: int):
+    """A wave's task i on node: skipped once the run is aborted, and a
+    failure aborts the run before the task's slot is given back."""
+    cluster.check_abort()
+    try:
+        return task(i, node)
+    except BaseException as exc:
+        cluster.abort(exc)
+        raise
+
+
+def _run_placed(cluster: Cluster, nodes: list[int], task) -> list[int]:
+    """Run task(i, nodes[i]) for every i and wait for all of them."""
+    cluster.join([cluster.run_task(node, _guarded, cluster, task, i, node)
+                  for i, node in enumerate(nodes)])
+    return nodes
+
+
 # ---------------------------------------------------------------------------
 # Centralized gang scheduler
 # ---------------------------------------------------------------------------
@@ -148,6 +175,15 @@ class CentralizedScheduler:
         """n whole nodes as one gang job."""
         allocation = self.submit_job(JobRequest(app_id, n))
         return NodeLease(allocation.nodes, lambda: self.release(allocation))
+
+    def run_wave(self, app_id: str, preferred, task) -> list[int]:
+        """Job-level scheduling: no task visibility, no locality awareness."""
+        lease = self.lease(app_id, self.cluster.topology.node_count)
+        nodes = [lease.nodes[i % len(lease.nodes)] for i in range(len(preferred))]
+        try:
+            return _run_placed(self.cluster, nodes, task)
+        finally:
+            lease.release()
 
     def free_nodes(self) -> int:
         with self._cond:
@@ -252,6 +288,35 @@ class MultilevelScheduler:
         return NodeLease(tuple(sorted(c.node for c in grants)),
                          session.deregister)
 
+    def run_wave(self, app_id: str, preferred, task) -> list[int]:
+        """Elastic usage: a freed container lets a pending request in."""
+        session = self.submit_job(app_id)
+
+        def run(container: Container):
+            try:
+                return _guarded(self.cluster, task, int(container.request_tag),
+                                container.node)
+            finally:
+                session.release([container])
+
+        nodes = [0] * len(preferred)
+        futures = []
+        try:
+            for i, prefs in enumerate(preferred):
+                session.request_containers(ResourceRequest(
+                    app_id, count=1, preferred_nodes=prefs, tag=str(i)))
+            while len(futures) < len(preferred):
+                ev = session.next_event()
+                if isinstance(ev, GrantEvent):
+                    container = ev.container
+                    nodes[int(container.request_tag)] = container.node
+                    futures.append(self.cluster.run_task(container.node, run,
+                                                         container))
+            self.cluster.join(futures)
+            return nodes
+        finally:
+            session.deregister()
+
     def revoke_containers(self, session: AppMasterSession, container_ids) -> None:
         """Ask the application to give containers back; capacity returns when
         the application releases them (i.e. after task completion)."""
@@ -262,10 +327,6 @@ class MultilevelScheduler:
                     raise UnknownContainer(cid)
                 container.state = ContainerState.REVOKED
                 session.events.put(RevokeEvent(container))
-
-    def capacity(self) -> int:
-        topo = self.cluster.topology
-        return topo.node_count * topo.cores_per_node
 
     # -- internal, called via the session ---------------------------------
 
@@ -408,6 +469,17 @@ class DecentralizedScheduler:
     def complete(self, node: int) -> None:
         with self._lock:
             self._outstanding[node] -= 1
+
+    def run_wave(self, app_id: str, preferred, task) -> list[int]:
+        """No resource manager: the wave pays its own job launch."""
+        self.cluster.metrics.add("jobs_launched")
+        self.cluster.costs.sleep_ms(self.cluster.costs.job_launch_ms)
+        nodes = [self.place() for _ in preferred]
+        try:
+            return _run_placed(self.cluster, nodes, task)
+        finally:
+            for node in nodes:
+                self.complete(node)
 
 
 # ---------------------------------------------------------------------------

@@ -167,16 +167,15 @@ class TestObjects:
 
 
 class TestConservation:
-    def test_read_counter_equals_event_sum(self):
+    def test_read_counter_equals_bytes_read(self):
         cluster, store, _, blocks = make_store(StoreMode.COLOCATED)
         try:
             for b in blocks:
                 store.read_block(b.index % 4, b.index)
             store.write(0, "o", b"abc")
             store.read_object(2, "o")
-            read_ops = ("local_read", "remote_read", "shared_read")
-            event_total = sum(e.nbytes for e in store.events
-                              if e.op in read_ops)
-            assert cluster.metrics.snapshot().store_bytes_read == event_total
+            block_bytes = sum(b.n_points * 2 * 8 for b in blocks)
+            assert (cluster.metrics.snapshot().store_bytes_read
+                    == block_bytes + 3)
         finally:
             cluster.shutdown()

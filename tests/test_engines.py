@@ -1,6 +1,7 @@
 """Engine behavior: oracle equivalence, job accounting, shuffle byte
 formulas, persistence and copy asymmetries, locality, and the workdir."""
 
+import logging
 import os
 import tempfile
 import threading
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ogrebench import kernel, runner, wire
-from ogrebench.config import RunConfig
+from ogrebench.config import (COMPATIBLE_SCHEDULERS, DEFAULT_SCHEDULER,
+                              RunConfig)
 from ogrebench.costs import ZERO_COSTS
 from ogrebench.dataset import ScenarioSpec, generate, init_centroids
 from ogrebench.engines import ENGINES
@@ -23,6 +25,14 @@ from ogrebench.engines.common import EngineFailure
 from ogrebench.fabric import ClusterTopology
 
 TINY = ScenarioSpec(2_000, 20, dims=3, seed=11)
+# Every engine under every scheduler that can host it; a pair with the
+# engine's default scheduler is named after the engine alone.
+ENGINE_SCHEDULER_PAIRS = [
+    pytest.param(engine, scheduler,
+                 id=(engine if scheduler == DEFAULT_SCHEDULER[engine]
+                     else f"{engine}-{scheduler}"))
+    for engine in sorted(ENGINES)
+    for scheduler in sorted(COMPATIBLE_SCHEDULERS[engine])]
 
 
 def run_cell(engine, spec=TINY, **kwargs):
@@ -132,9 +142,9 @@ class TestRunHygiene:
         run_cell(engine)
         assert clusters[0]._channels == {}
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_worker_failure_surfaces_fast_with_its_cause(self, engine,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("engine,scheduler", ENGINE_SCHEDULER_PAIRS)
+    def test_worker_failure_surfaces_fast_with_its_cause(
+            self, engine, scheduler, monkeypatch, caplog):
         # The store engines get a bare KeyError, whose text is empty, so
         # the message can name the cause only by its type.
         injected = "RuntimeError: injected fault on node1"
@@ -159,11 +169,13 @@ class TestRunHygiene:
         before = set(threading.enumerate())
         start = time.monotonic()
         with pytest.raises(EngineFailure, match=cause):
-            run_cell(engine)
+            run_cell(engine, scheduler=scheduler)
         assert time.monotonic() - start < 2.0
         assert not [t for t in threading.enumerate()
                     if t not in before and t.name.startswith("node")
                     and t.is_alive()]
+        # No slot is given back twice, so no callback or release logs.
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestSeedTotality:

@@ -156,6 +156,43 @@ class TestTasks:
             fut.result(timeout=10)
         assert cluster.metrics.snapshot().tasks_launched == 1
 
+    def test_join_returns_results_in_order(self, cluster):
+        futs = [cluster.run_task(n % 4, lambda n=n: n * n, kind="worker")
+                for n in range(8)]
+        assert cluster.join(futs) == [n * n for n in range(8)]
+
+    def test_join_cancels_aborts_waits_and_raises_the_cause(self, cluster):
+        cause = RuntimeError("task broke")
+        release = threading.Event()
+        finished = []
+
+        def boom():
+            release.wait(10)
+            raise cause
+
+        def peer():
+            try:
+                cluster.recv(1, 0, tag="never")
+            finally:
+                finished.append("peer")
+
+        # Node 0's 4 slots hold the blocked peer and three sleepers, so a
+        # fifth task there queues; the failing task runs on node 1.
+        futs = [cluster.run_task(1, boom, kind="worker"),
+                cluster.run_task(0, peer, kind="worker")]
+        futs += [cluster.run_task(0, time.sleep, 0.5, kind="worker")
+                 for _ in range(3)]
+        queued = cluster.run_task(0, finished.append, "queued", kind="worker")
+        release.set()
+        with pytest.raises(RuntimeError) as info:
+            cluster.join(futs + [queued])
+        assert info.value is cause
+        assert queued.cancelled()
+        assert all(f.done() for f in futs)
+        assert finished == ["peer"]
+        with pytest.raises(ClusterAborted):
+            cluster.check_abort()
+
     def test_shutdown_rejects_new_work(self, cluster):
         cluster.shutdown()
         with pytest.raises(NodeDown):

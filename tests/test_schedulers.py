@@ -247,3 +247,66 @@ class TestPilot:
         pilot = pilot_acquire(cluster, sched, PilotShape(4), app_id="p")
         pilot.shutdown()
         assert sched.free_nodes() == 4
+
+
+class TestWave:
+    """``run_wave``: each architecture's placement, one job per wave, every
+    slot back when it returns, and no task after a failure."""
+
+    SCHEDULERS = {
+        "centralized": CentralizedScheduler,
+        "multilevel": MultilevelScheduler,
+        "decentral": lambda cluster: DecentralizedScheduler(cluster, seed=5),
+    }
+
+    @staticmethod
+    def run(sched, count, preferred=None):
+        ran = {}
+
+        def task(i, node):
+            ran[i] = node
+
+        preferred = preferred or [()] * count
+        nodes = sched.run_wave("wave", preferred, task)
+        assert ran == dict(enumerate(nodes))
+        return nodes
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_placement_policy_one_job_and_all_capacity_back(self, name,
+                                                            cluster):
+        sched = self.SCHEDULERS[name](cluster)
+        if name == "centralized":
+            assert self.run(sched, 10) == [i % 4 for i in range(10)]
+            assert sched.free_nodes() == 4
+        elif name == "decentral":
+            twin = DecentralizedScheduler(cluster, seed=5)
+            expected = [twin.place() for _ in range(10)]
+            assert self.run(sched, 10) == expected
+            assert sched._outstanding == [0, 0, 0, 0]
+        else:
+            preferred = [((3 * i) % 4, (3 * i + 1) % 4) for i in range(16)]
+            nodes = self.run(sched, 16, preferred)
+            assert all(node in prefs for node, prefs in zip(nodes, preferred))
+            fresh = sched.register_app_master("fresh")
+            fresh.request_containers(ResourceRequest("fresh", count=16))
+            # The grant pass runs inside the request: all 16 are already in.
+            assert fresh.events.qsize() == 16
+        assert cluster.metrics.snapshot().jobs_launched == 1
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULERS))
+    def test_first_failure_stops_the_wave(self, name):
+        cluster = spawn_cluster(ClusterTopology(1, 1), ZERO_COSTS)
+        try:
+            sched = self.SCHEDULERS[name](cluster)
+            ran = []
+
+            def task(i, node):
+                ran.append(i)
+                if i == 0:
+                    raise RuntimeError("first task broke")
+
+            with pytest.raises(RuntimeError, match="first task broke"):
+                sched.run_wave("wave", [()] * 5, task)
+            assert ran == [0]
+        finally:
+            cluster.shutdown()
