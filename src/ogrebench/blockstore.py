@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel
 from .dataset import Block, PointFile
 from .metrics import MetricsCollector
 
@@ -62,8 +61,8 @@ class BlockStore:
     def __init__(self, cluster, mode: StoreMode):
         self.cluster = cluster
         self.mode = mode
+        self._shared = mode is StoreMode.SHARED
         self.metrics: MetricsCollector = cluster.metrics
-        self.costs: CostModel = cluster.costs
         self._points: np.ndarray | None = None
         self._block_map: BlockMap | None = None
         self._objects: dict[str, bytes] = {}
@@ -90,9 +89,7 @@ class BlockStore:
                 placements[b.index] = BlockPlacement(b, ())
         self._points = pf.points
         self._block_map = BlockMap(self.mode, placements)
-        nbytes = pf.nbytes
-        self.metrics.add("store_bytes_written", nbytes)
-        self.metrics.add("store_writes")
+        self.metrics.add(store_writes=1, store_bytes_written=pf.nbytes)
         return self._block_map
 
     @property
@@ -111,18 +108,14 @@ class BlockStore:
             raise UnknownBlock(block_id)
         block = placement.block
         nbytes = block.n_points * self._points.shape[1] * 8
-        if self.mode is StoreMode.SHARED:
-            self.metrics.add("shared_reads")
+        if self._shared:
+            self.metrics.add(shared_reads=1)
         elif reader_node in placement.replicas:
-            self.metrics.add("locality_hits")
+            self.metrics.add(locality_hits=1)
         else:
-            self.metrics.add("locality_misses")
-            self.metrics.add("network_messages")
-            self.metrics.add("network_bytes", nbytes)
-            self.costs.charge_message(nbytes)
-        self.costs.charge_store(nbytes, shared=self.mode is StoreMode.SHARED)
-        self.metrics.add("store_bytes_read", nbytes)
-        self.metrics.add("store_reads")
+            self.metrics.add(locality_misses=1)
+            self.cluster.charge("link_message", nbytes)
+        self.cluster.charge("store_read", nbytes, self._shared)
         return self._points[block.start : block.stop]
 
     # -- named objects (persisted centroids, pilot intermediate files) -----
@@ -132,9 +125,7 @@ class BlockStore:
             if name in self._objects and not replace:
                 raise DuplicateObject(name)
             self._objects[name] = bytes(data)
-        self.metrics.add("store_bytes_written", len(data))
-        self.metrics.add("store_writes")
-        self.costs.charge_store(len(data), shared=self.mode is StoreMode.SHARED)
+        self.cluster.charge("store_write", len(data), self._shared)
         return name
 
     def read_object(self, node: int, name: str) -> bytes:
@@ -142,7 +133,5 @@ class BlockStore:
             if name not in self._objects:
                 raise UnknownObject(name)
             data = self._objects[name]
-        self.metrics.add("store_bytes_read", len(data))
-        self.metrics.add("store_reads")
-        self.costs.charge_store(len(data), shared=self.mode is StoreMode.SHARED)
+        self.cluster.charge("store_read", len(data), self._shared)
         return data

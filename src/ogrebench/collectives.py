@@ -16,7 +16,6 @@ reproducible for a fixed configuration:
 
 from __future__ import annotations
 
-import threading
 from functools import reduce as _fold
 
 from .fabric import Cluster, NodeDown
@@ -45,7 +44,6 @@ class CollectiveGroup:
         self.algorithm = algorithm
         self.deterministic = deterministic
         self.compress = compress
-        self._lock = threading.Lock()
 
     @property
     def size(self) -> int:
@@ -75,8 +73,7 @@ class GroupMember:
                                     tag=tag, compressed=g.compress)
         except NodeDown as exc:
             raise CollectiveError(str(exc)) from exc
-        g.cluster.metrics.add("collective_messages")
-        g.cluster.metrics.add("collective_bytes", nbytes)
+        g.cluster.metrics.add(collective_messages=1, collective_bytes=nbytes)
 
     def _recv(self, src_rank: int, epoch: int):
         g = self.group

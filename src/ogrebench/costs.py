@@ -1,9 +1,9 @@
 """Declared cost-model defaults for the simulated fabric, stores and runtimes.
 
 These stand in for overheads that real systems pay (scheduler daemon startup,
-per-task dispatch, shared-filesystem metadata and bandwidth limits).  They are
-charged as real sleeps so that measured wall time reflects them; they never
-affect computed results or byte counters.
+per-task dispatch, shared-filesystem metadata and bandwidth limits), as real
+sleeps that never affect results or counters.  Only ``Cluster.charge`` calls
+them: its ``fabric.CHARGES`` table is where a delay meets its counters.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ class EngineFailure(RuntimeError):
     """A task or worker failed; the run aborts (no retry)."""
 
 
+def task_failed(cause: BaseException) -> EngineFailure:
+    """The run's failure, naming its cause's type and text."""
+    return EngineFailure(f"task failed: {type(cause).__name__}: {cause}")
+
+
 @dataclass
 class EngineContext:
     cluster: Cluster
@@ -97,8 +102,7 @@ def run_spmd(ctx: EngineContext, app_id: str, load,
                                                   kind="worker")
                                  for rank, node in enumerate(worker_nodes)])
         except Exception as cause:
-            raise EngineFailure(
-                f"worker failed: {type(cause).__name__}: {cause}") from cause
+            raise task_failed(cause) from cause
     finally:
         lease.release()
     return KMeansResult(final=trajectory[-1], iterations=len(trajectory) - 1,

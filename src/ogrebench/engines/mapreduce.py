@@ -21,7 +21,7 @@ import numpy as np
 from .. import wire
 from ..kernel import (CentroidSet, KMeansResult, PartialSums, assign_block,
                       converged, merge, partial_sums_from_assignment)
-from .common import EngineContext, EngineFailure
+from .common import EngineContext, task_failed
 
 
 def _centroid_object(iteration: int) -> str:
@@ -70,11 +70,8 @@ def drive_store_iterations(ctx: EngineContext, run_tasks) -> KMeansResult:
         iteration = current.iteration
         try:
             run_tasks(iteration)
-        except EngineFailure:
-            raise
         except Exception as exc:
-            raise EngineFailure(
-                f"task failed: {type(exc).__name__}: {exc}") from exc
+            raise task_failed(exc) from exc
         with ctx.cluster.metrics.phase("update"):
             coords = current.coords.copy()
             for r in range(ctx.reducer_count):
@@ -134,8 +131,8 @@ def _emit_map_outputs(ctx: EngineContext, node: int, block, iteration: int,
         outputs = reducer_outputs(codes, pts, len(reducer_nodes),
                                   ctx.initial.k if ctx.combine else None)
         for r, (records, payload) in enumerate(outputs):
-            cluster.metrics.add("shuffle_bytes", len(payload))
-            cluster.metrics.add("shuffle_records", records)
+            cluster.metrics.add(shuffle_bytes=len(payload),
+                                shuffle_records=records)
             cluster.send(node, reducer_nodes[r], (kind, block.index, payload),
                          tag=f"sh{iteration}:b{block.index}>r{r}")
 
@@ -179,7 +176,7 @@ def _reduce_task(ctx: EngineContext, node: int, r: int, iteration: int,
                 path = os.path.join(
                     spill_dir, f"it{iteration}_r{r}_{len(runs)}.spill")
                 _sorted_run(buffered, k).tofile(path)
-                cluster.metrics.add("shuffle_spills")
+                cluster.metrics.add(shuffle_spills=1)
                 runs.append(path)
                 buffered = []
                 buffered_bytes = 0

@@ -31,6 +31,22 @@ class ClusterAborted(RuntimeError):
 # How long a blocked recv waits between checks for an abort.
 ABORT_POLL_S = 0.05
 
+# The one place where a modeled event meets its counters.  Per event: the
+# counters it adds to (its count, then its bytes) and its delay (a CostModel
+# field in ms, or the link's or the store's per-byte charge).
+CHARGES: dict[str, tuple[tuple[str, ...], str | None]] = {
+    "job_launch": (("jobs_launched",), "job_launch_ms"),
+    "container_grant": ((), "container_grant_ms"),
+    "task_launch:worker": (("tasks_launched",), None),
+    "task_launch:process": (("tasks_launched",), "process_task_ms"),
+    "task_launch:thread": (("tasks_launched",), "thread_task_ms"),
+    "task_launch:cu": (("tasks_launched",), "cu_launch_ms"),
+    "link_message": (("network_messages", "network_bytes"), "link"),
+    "intra_node_message": (("intra_node_messages", "intra_node_bytes"), None),
+    "store_read": (("store_reads", "store_bytes_read"), "store"),
+    "store_write": (("store_writes", "store_bytes_written"), "store"),
+}
+
 
 @dataclass(frozen=True)
 class ClusterTopology:
@@ -102,13 +118,8 @@ class Cluster:
         data = (wire.encode_compressed(payload) if compressed
                 else wire.encode(payload))
         nbytes = len(data)
-        if src == dst:
-            self.metrics.add("intra_node_messages")
-            self.metrics.add("intra_node_bytes", nbytes)
-        else:
-            self.metrics.add("network_messages")
-            self.metrics.add("network_bytes", nbytes)
-            self.costs.charge_message(nbytes)
+        self.charge("intra_node_message" if src == dst else "link_message",
+                    nbytes)
         with self._channels_lock:
             self._channel((src, dst, tag)).put(data)
         return nbytes
@@ -154,19 +165,27 @@ class Cluster:
             raise ClusterAborted(
                 f"run aborted: {self._abort_cause!r}") from self._abort_cause
 
-    # -- task execution ----------------------------------------------------
+    # -- modeled events ----------------------------------------------------
+
+    def charge(self, event: str, nbytes: int = 0, shared: bool = False) -> None:
+        """Count one modeled event and charge its delay, as CHARGES says.
+        ``shared`` picks the shared store's costs for a store operation."""
+        if event not in CHARGES:
+            raise ValueError(f"unknown modeled event {event!r}")
+        counters, delay = CHARGES[event]
+        self.metrics.add(**dict(zip(counters, (1, nbytes))))
+        if delay == "link":
+            self.costs.charge_message(nbytes)
+        elif delay == "store":
+            self.costs.charge_store(nbytes, shared)
+        elif delay:
+            self.costs.sleep_ms(getattr(self.costs, delay))
 
     def charge_task_launch(self, kind: str) -> None:
         """Account a task launch and charge its dispatch overhead class."""
-        self.metrics.add("tasks_launched")
-        if kind == "process":
-            self.costs.sleep_ms(self.costs.process_task_ms)
-        elif kind == "thread":
-            self.costs.sleep_ms(self.costs.thread_task_ms)
-        elif kind == "cu":
-            self.costs.sleep_ms(self.costs.cu_launch_ms)
-        elif kind != "worker":
-            raise ValueError(f"unknown task kind {kind!r}")
+        self.charge(f"task_launch:{kind}")
+
+    # -- task execution ----------------------------------------------------
 
     def run_task(self, node_id: int, fn, *args, kind: str = "process") -> Future:
         """Launch a task on a node slot; queues when all slots are busy."""

@@ -2,7 +2,7 @@
 locality hits, jobs/tasks launched, peak resident dataset generations.
 
 Counters are monotonically non-decreasing during a run; ``snapshot`` returns a
-consistent point-in-time copy (linearizable per counter).
+consistent point-in-time copy, in which each ``add`` call lands whole.
 """
 
 from __future__ import annotations
@@ -47,11 +47,14 @@ class MetricsCollector:
         self._lock = threading.Lock()
         self._record = MetricsRecord()
 
-    def add(self, counter: str, amount: int = 1) -> None:
-        if amount < 0:
+    def add(self, **amounts: int) -> None:
+        """Add to counters under one lock: a snapshot sees all or none."""
+        if any(amount < 0 for amount in amounts.values()):
             raise ValueError("counters only move forward")
         with self._lock:
-            setattr(self._record, counter, getattr(self._record, counter) + amount)
+            for counter, amount in amounts.items():
+                setattr(self._record, counter,
+                        getattr(self._record, counter) + amount)
 
     def note_generations(self, generations: int) -> None:
         with self._lock:

@@ -28,7 +28,6 @@ sequence.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import queue
 import threading
@@ -83,19 +82,12 @@ class ResourceRequest:
             raise RejectedRequest("container counts and shapes must be positive")
 
 
-class ContainerState(enum.Enum):
-    GRANTED = "granted"
-    RELEASED = "released"
-    REVOKED = "revoked"
-
-
 @dataclass
 class Container:
     id: int
     node: int
     cores: int
     memory: int
-    state: ContainerState = ContainerState.GRANTED
     locality_preferred: bool | None = None  # None: no preference expressed
     request_tag: str = ""
 
@@ -153,8 +145,7 @@ class CentralizedScheduler:
                 f"job wants {job.node_count} nodes, cluster has "
                 f"{self.cluster.topology.node_count}"
             )
-        self.cluster.metrics.add("jobs_launched")
-        self.cluster.costs.sleep_ms(self.cluster.costs.job_launch_ms)
+        self.cluster.charge("job_launch")
         ticket = next(self._ticket)
         with self._cond:
             self._waiters.append(ticket)
@@ -201,11 +192,6 @@ class GrantEvent:
 
 
 @dataclass
-class RevokeEvent:
-    container: Container
-
-
-@dataclass
 class _Pending:
     session: "AppMasterSession"
     request: ResourceRequest
@@ -214,7 +200,7 @@ class _Pending:
 
 
 class AppMasterSession:
-    """Per-application agent session: receives grant and revoke events."""
+    """Per-application agent session: receives grant events."""
 
     def __init__(self, rm: "MultilevelScheduler", app_id: str):
         self.rm = rm
@@ -272,8 +258,7 @@ class MultilevelScheduler:
 
     def submit_job(self, app_id: str) -> AppMasterSession:
         """Register an application and charge one job submission."""
-        self.cluster.metrics.add("jobs_launched")
-        self.cluster.costs.sleep_ms(self.cluster.costs.job_launch_ms)
+        self.cluster.charge("job_launch")
         return self.register_app_master(app_id)
 
     def lease(self, app_id: str, n: int) -> NodeLease:
@@ -317,17 +302,6 @@ class MultilevelScheduler:
         finally:
             session.deregister()
 
-    def revoke_containers(self, session: AppMasterSession, container_ids) -> None:
-        """Ask the application to give containers back; capacity returns when
-        the application releases them (i.e. after task completion)."""
-        with self._lock:
-            for cid in container_ids:
-                container = self._containers.get(cid)
-                if container is None or container.id not in session.live:
-                    raise UnknownContainer(cid)
-                container.state = ContainerState.REVOKED
-                session.events.put(RevokeEvent(container))
-
     # -- internal, called via the session ---------------------------------
 
     def _request(self, session: AppMasterSession, request: ResourceRequest) -> None:
@@ -342,16 +316,19 @@ class MultilevelScheduler:
             self._pending.append(_Pending(session, request, request.count))
             self._grant_pass()
 
+    def _free(self, session: AppMasterSession, container_ids) -> None:
+        """Give the containers' capacity back; runs under the lock."""
+        for cid in container_ids:
+            container = self._containers.pop(cid, None)
+            if container is None:
+                raise UnknownContainer(cid)
+            session.live.pop(cid, None)
+            self._used_cores[container.node] -= container.cores
+            self._used_memory[container.node] -= container.memory
+
     def _release(self, session: AppMasterSession, container_ids) -> None:
         with self._lock:
-            for cid in container_ids:
-                container = self._containers.pop(cid, None)
-                if container is None:
-                    raise UnknownContainer(cid)
-                container.state = ContainerState.RELEASED
-                session.live.pop(cid, None)
-                self._used_cores[container.node] -= container.cores
-                self._used_memory[container.node] -= container.memory
+            self._free(session, container_ids)
             self._grant_pass()
 
     def _deregister(self, session: AppMasterSession) -> None:
@@ -359,12 +336,7 @@ class MultilevelScheduler:
             session.closed = True
             self._pending = deque(p for p in self._pending if p.session is not session)
             self._sessions.pop(session.app_id, None)
-            for cid in list(session.live):
-                container = self._containers.pop(cid)
-                container.state = ContainerState.RELEASED
-                session.live.pop(cid)
-                self._used_cores[container.node] -= container.cores
-                self._used_memory[container.node] -= container.memory
+            self._free(session, list(session.live))
             self._grant_pass()
 
     def _fits(self, node: int, request: ResourceRequest) -> bool:
@@ -374,7 +346,7 @@ class MultilevelScheduler:
 
     def _grant_on(self, pending: _Pending, node: int, preferred: bool | None) -> None:
         request = pending.request
-        self.cluster.costs.sleep_ms(self.cluster.costs.container_grant_ms)
+        self.cluster.charge("container_grant")
         container = Container(next(self._next_container), node, request.cores,
                               request.memory, locality_preferred=preferred,
                               request_tag=request.tag)
@@ -472,8 +444,7 @@ class DecentralizedScheduler:
 
     def run_wave(self, app_id: str, preferred, task) -> list[int]:
         """No resource manager: the wave pays its own job launch."""
-        self.cluster.metrics.add("jobs_launched")
-        self.cluster.costs.sleep_ms(self.cluster.costs.job_launch_ms)
+        self.cluster.charge("job_launch")
         nodes = [self.place() for _ in preferred]
         try:
             return _run_placed(self.cluster, nodes, task)

@@ -1,6 +1,7 @@
 """Engine behavior: oracle equivalence, job accounting, shuffle byte
 formulas, persistence and copy asymmetries, locality, and the workdir."""
 
+import collections
 import logging
 import os
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from ogrebench import kernel, runner, wire
 from ogrebench.config import (COMPATIBLE_SCHEDULERS, DEFAULT_SCHEDULER,
                               RunConfig)
-from ogrebench.costs import ZERO_COSTS
+from ogrebench.costs import ZERO_COSTS, CostModel
 from ogrebench.dataset import ScenarioSpec, generate, init_centroids
 from ogrebench.engines import ENGINES
 from ogrebench.engines import mapreduce
@@ -147,7 +148,7 @@ class TestRunHygiene:
             self, engine, scheduler, monkeypatch, caplog):
         # The store engines get a bare KeyError, whose text is empty, so
         # the message can name the cause only by its type.
-        injected = "RuntimeError: injected fault on node1"
+        injected = "^task failed: RuntimeError: injected fault on node1$"
         module, fault, cause = {
             "mpi-like": ("message_passing",
                          lambda: RuntimeError("injected fault on node1"),
@@ -155,8 +156,8 @@ class TestRunHygiene:
             "iterative": ("iterative",
                           lambda: RuntimeError("injected fault on node1"),
                           injected),
-            "mapreduce": ("mapreduce", KeyError, "task failed: KeyError: $"),
-            "pilot": ("mapreduce", KeyError, "task failed: KeyError: $"),
+            "mapreduce": ("mapreduce", KeyError, "^task failed: KeyError: $"),
+            "pilot": ("mapreduce", KeyError, "^task failed: KeyError: $"),
         }[engine]
         real = kernel.assign_block
 
@@ -202,6 +203,48 @@ class TestJobAccounting:
         outcome = run_cell(engine)
         assert outcome.report.metrics["jobs_launched"] == 1
         assert outcome.result.iterations > 1
+
+
+class TestChargePairing:
+    @pytest.mark.parametrize("engine,scheduler", ENGINE_SCHEDULER_PAIRS)
+    def test_every_modeled_delay_comes_with_its_counters(
+            self, engine, scheduler, monkeypatch):
+        # The three sleep primitives only record; each sleep_ms class has
+        # its own duration, so the recorded value names the class.
+        ms_class = {1.0: "job", 2.0: "process", 3.0: "thread", 4.0: "cu",
+                    5.0: "grant"}
+        costs = CostModel(job_launch_ms=1.0, process_task_ms=2.0,
+                          thread_task_ms=3.0, cu_launch_ms=4.0,
+                          container_grant_ms=5.0)
+        calls = []
+        monkeypatch.setattr(CostModel, "sleep_ms",
+                            lambda self, ms: calls.append(ms_class[ms]))
+        monkeypatch.setattr(CostModel, "charge_message",
+                            lambda self, nbytes: calls.append("link"))
+        monkeypatch.setattr(CostModel, "charge_store",
+                            lambda self, nbytes, shared: calls.append("store"))
+        built = []
+        real = runner._build_scheduler
+        monkeypatch.setattr(runner, "_build_scheduler",
+                            lambda *args: built.append(real(*args)) or built[-1])
+
+        outcome = run_cell(engine, scheduler=scheduler, costs=costs)
+        m = outcome.report.metrics
+        seen = collections.Counter(calls)
+        assert seen["link"] == m["network_messages"]
+        # The ingest's store write is not charged.
+        assert seen["store"] == m["store_reads"] + m["store_writes"] - 1
+        assert seen["job"] == m["jobs_launched"]
+        workers = (outcome.report.config["topology"]["node_count"]
+                   if engine in ("mpi-like", "iterative") else 0)
+        assert (seen["process"] + seen["thread"] + seen["cu"]
+                == m["tasks_launched"] - workers)
+        if scheduler == "multilevel":
+            granted = next(built[0]._next_container)
+            assert granted > 0
+            assert seen["grant"] == granted
+        else:
+            assert seen["grant"] == 0
 
 
 class TestShuffleAccounting:

@@ -126,6 +126,48 @@ class TestMessaging:
             cluster.send(0, 99, "x")
 
 
+class TestCharge:
+    def test_unknown_task_kind_is_rejected_uncounted(self, cluster):
+        with pytest.raises(ValueError):
+            cluster.charge_task_launch("daemon")
+        assert cluster.metrics.snapshot().tasks_launched == 0
+
+    def test_a_snapshot_never_splits_an_event(self, cluster):
+        # A link message adds its count and its bytes under one lock, so no
+        # snapshot sees the one without the other.
+        nbytes, per_writer = 7, 3000
+        torn = []
+        done = threading.Event()
+
+        def writer():
+            for _ in range(per_writer):
+                cluster.charge("link_message", nbytes)
+
+        def reader():
+            while not done.is_set():
+                snap = cluster.metrics.snapshot()
+                if snap.network_bytes != nbytes * snap.network_messages:
+                    torn.append(snap)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            readers = [threading.Thread(target=reader) for _ in range(2)]
+            writers = [threading.Thread(target=writer) for _ in range(6)]
+            for t in readers + writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=20)
+            done.set()
+            for t in readers:
+                t.join(timeout=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers + writers)
+        assert not torn
+        assert cluster.metrics.snapshot().network_messages == 6 * per_writer
+
+
 class TestTasks:
     def test_sixteen_tasks_run_concurrently(self, cluster):
         barrier = threading.Barrier(16, timeout=10)

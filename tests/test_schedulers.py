@@ -1,5 +1,5 @@
 """Schedulers: gang atomicity, elastic container grants, locality-preferred
-placement, revocation, sampling placement, and the pilot overlay."""
+placement, release and regrant, sampling placement, and the pilot overlay."""
 
 import threading
 import time
@@ -11,7 +11,7 @@ from ogrebench.fabric import ClusterTopology, spawn_cluster
 from ogrebench.schedulers import (CentralizedScheduler, DecentralizedScheduler,
                                   GrantEvent, JobRequest, MultilevelScheduler,
                                   PilotShape, RejectedJob, RejectedRequest,
-                                  ResourceRequest, RevokeEvent, SchedulerError,
+                                  ResourceRequest, SchedulerError,
                                   pilot_acquire)
 
 
@@ -137,16 +137,12 @@ class TestMultilevel:
         assert grant.locality_preferred is False
         assert grant.node != 0
 
-    def test_revoke_then_release_returns_capacity(self, cluster):
+    def test_release_returns_capacity_for_regrant(self, cluster):
         rm = MultilevelScheduler(cluster)
         session = rm.register_app_master("app")
         session.request_containers(ResourceRequest("app", count=4))
         grants = session.wait_for_grants(4, timeout=10)
-        rm.revoke_containers(session, [grants[0].id])
-        ev = session.next_event(timeout=10)
-        assert isinstance(ev, RevokeEvent)
-        assert len(session.live) == 4  # capacity only returns on release
-        session.release([ev.container])
+        session.release([grants[0]])
         assert len(session.live) == 3
         # The reclaimed capacity is immediately grantable elsewhere.
         other = rm.register_app_master("other")
