@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import os
+import statistics
 import sys
 
 from . import dataset, runner, scenarios
@@ -205,16 +206,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Recompute comparison verdicts offline from a JSON bundle."""
+    """Recompute comparison verdicts offline from a JSON bundle; a scenario
+    the comparison left incomplete stays incomplete."""
     with open(args.bundle) as fh:
         bundle = json.load(fh)
-    import statistics
     medians: dict[str, dict[str, float]] = {}
     for cell in bundle["cells"]:
         medians.setdefault(cell["scenario"], {})[cell["engine"]] = (
             statistics.median(cell["walls"]))
-    for scenario, per_engine in medians.items():
-        verdict = runner.ordering_verdict(per_engine)
+    for scenario, verdict in bundle["verdicts"].items():
+        if verdict != "incomplete":
+            verdict = runner.ordering_verdict(medians[scenario])
         print(f"verdict {scenario}: {verdict}")
     return EXIT_OK
 
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cluster_args(p)
     _add_run_args(p)
     p.add_argument("--out", help="report output path (JSON)")
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("compare", help="cross-engine comparison")

@@ -1,13 +1,13 @@
-"""Pilot-MapReduce K-means: the pilot obtains its placeholder allocation with
-a single job submission; every map and reduce phase runs as compute units
-inside it.  Intermediate data moves as whole files through the store, one per
-(map task, reduce partition) pair, with no sorting."""
+"""Pilot-MapReduce K-means: the pilot leases every node with a single job
+submission; every map and reduce phase runs on the lease as compute units
+(``cu`` tasks) with no further resource-manager interaction.  Intermediate
+data moves as whole files through the store, one per (map task, reduce
+partition) pair, with no sorting."""
 
 from __future__ import annotations
 
 from .. import wire
 from ..kernel import KMeansResult, partial_sums_from_assignment
-from ..schedulers import PilotShape, pilot_acquire
 from .common import EngineContext
 from .mapreduce import (concat_records, drive_store_iterations, map_block,
                         reducer_outputs, write_means)
@@ -39,22 +39,21 @@ def _reduce_cu(ctx: EngineContext, node: int, r: int, iteration: int) -> None:
 
 
 def run_pilot_mapreduce(ctx: EngineContext) -> KMeansResult:
-    pilot = pilot_acquire(ctx.cluster, ctx.scheduler,
-                          PilotShape(ctx.cluster.topology.node_count),
-                          app_id="pilot-kmeans")
+    cluster = ctx.cluster
+    lease = ctx.scheduler.lease("pilot-kmeans", cluster.topology.node_count)
 
     def on(i: int) -> int:
-        return pilot.nodes[i % len(pilot.nodes)]
+        return lease.nodes[i % len(lease.nodes)]
 
     def run_tasks(iteration: int) -> None:
-        ctx.cluster.join([pilot.submit_cu(_map_cu, ctx, on(b.index), b,
-                                          iteration, node=on(b.index))
-                          for b in ctx.blocks])
-        ctx.cluster.join([pilot.submit_cu(_reduce_cu, ctx, on(r), r, iteration,
-                                          node=on(r))
-                          for r in range(ctx.reducer_count)])
+        cluster.join([cluster.run_task(on(b.index), _map_cu, ctx, on(b.index),
+                                       b, iteration, kind="cu")
+                      for b in ctx.blocks])
+        cluster.join([cluster.run_task(on(r), _reduce_cu, ctx, on(r), r,
+                                       iteration, kind="cu")
+                      for r in range(ctx.reducer_count)])
 
     try:
         return drive_store_iterations(ctx, run_tasks)
     finally:
-        pilot.shutdown()
+        lease.release()

@@ -52,10 +52,9 @@ CHARGES: dict[str, tuple[tuple[str, ...], str | None]] = {
 class ClusterTopology:
     node_count: int = 4
     cores_per_node: int = 4
-    memory_per_node: int = 4 << 30
 
     def __post_init__(self):
-        if self.node_count < 1 or self.cores_per_node < 1 or self.memory_per_node < 1:
+        if self.node_count < 1 or self.cores_per_node < 1:
             raise ValueError("topology fields must be positive")
 
     @property

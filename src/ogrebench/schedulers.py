@@ -1,14 +1,15 @@
-"""The three resource-management architectures plus the pilot-job overlay.
+"""The three resource-management architectures.
 
 * Centralized: job-level gang scheduling of whole nodes, all-or-nothing,
   FIFO, no task-level visibility.
 * Multi-level: a resource manager granting containers elastically to
   registered application masters, with locality-preferred placement and a
-  bounded locality wait.
+  bounded locality wait.  A container is sized in cores only.
 * Decentralized: sampling-based task placement (probe s nodes, pick the
   shortest queue).
-* Pilot: a placeholder allocation obtained once from an underlying scheduler,
-  inside which compute units are slot-scheduled with no further
+* Pilot: not a scheduler of its own.  The pilot engine takes one
+  ``lease()`` of whole nodes from the centralized or multi-level scheduler
+  and runs every compute unit on it as a ``cu`` task, with no further
   resource-manager interaction.
 
 ``run_wave(app_id, preferred, task)`` runs ``task(i, node)`` for each task
@@ -73,13 +74,12 @@ class ResourceRequest:
     app_id: str
     count: int
     cores: int = 1
-    memory: int = 1 << 30
     preferred_nodes: tuple[int, ...] = ()
     tag: str = ""  # client correlation tag, echoed on granted containers
 
     def __post_init__(self):
-        if self.count < 1 or self.cores < 1 or self.memory < 1:
-            raise RejectedRequest("container counts and shapes must be positive")
+        if self.count < 1 or self.cores < 1:
+            raise RejectedRequest("container counts and cores must be positive")
 
 
 @dataclass
@@ -87,8 +87,6 @@ class Container:
     id: int
     node: int
     cores: int
-    memory: int
-    locality_preferred: bool | None = None  # None: no preference expressed
     request_tag: str = ""
 
 
@@ -187,11 +185,6 @@ class CentralizedScheduler:
 
 
 @dataclass
-class GrantEvent:
-    container: Container
-
-
-@dataclass
 class _Pending:
     session: "AppMasterSession"
     request: ResourceRequest
@@ -200,7 +193,8 @@ class _Pending:
 
 
 class AppMasterSession:
-    """Per-application agent session: receives grant events."""
+    """Per-application agent session: its granted containers arrive on
+    ``events`` in grant order."""
 
     def __init__(self, rm: "MultilevelScheduler", app_id: str):
         self.rm = rm
@@ -212,17 +206,12 @@ class AppMasterSession:
     def request_containers(self, request: ResourceRequest) -> None:
         self.rm._request(self, request)
 
-    def next_event(self, timeout: float | None = 120.0):
+    def next_event(self, timeout: float | None = 120.0) -> Container:
         return self.events.get(timeout=timeout)
 
     def wait_for_grants(self, count: int, timeout: float | None = 120.0) -> list[Container]:
-        """Convenience: block until `count` grant events arrive."""
-        grants = []
-        while len(grants) < count:
-            ev = self.next_event(timeout=timeout)
-            if isinstance(ev, GrantEvent):
-                grants.append(ev.container)
-        return grants
+        """Block until `count` more containers are granted."""
+        return [self.next_event(timeout=timeout) for _ in range(count)]
 
     def release(self, containers) -> None:
         self.rm._release(self, [c.id for c in containers])
@@ -242,7 +231,6 @@ class MultilevelScheduler:
         self._sessions: dict[str, AppMasterSession] = {}
         self._pending: deque[_Pending] = deque()
         self._used_cores = [0] * topo.node_count
-        self._used_memory = [0] * topo.node_count
         self._containers: dict[int, Container] = {}
         self._next_container = itertools.count()
 
@@ -265,10 +253,8 @@ class MultilevelScheduler:
         """n whole-node containers, one per node, under one job submission;
         the lease holds them until the application deregisters."""
         session = self.submit_job(app_id)
-        topo = self.cluster.topology
         session.request_containers(ResourceRequest(
-            app_id, count=n, cores=topo.cores_per_node,
-            memory=topo.memory_per_node))
+            app_id, count=n, cores=self.cluster.topology.cores_per_node))
         grants = session.wait_for_grants(n)
         return NodeLease(tuple(sorted(c.node for c in grants)),
                          session.deregister)
@@ -291,12 +277,10 @@ class MultilevelScheduler:
                 session.request_containers(ResourceRequest(
                     app_id, count=1, preferred_nodes=prefs, tag=str(i)))
             while len(futures) < len(preferred):
-                ev = session.next_event()
-                if isinstance(ev, GrantEvent):
-                    container = ev.container
-                    nodes[int(container.request_tag)] = container.node
-                    futures.append(self.cluster.run_task(container.node, run,
-                                                         container))
+                container = session.next_event()
+                nodes[int(container.request_tag)] = container.node
+                futures.append(self.cluster.run_task(container.node, run,
+                                                     container))
             self.cluster.join(futures)
             return nodes
         finally:
@@ -306,10 +290,13 @@ class MultilevelScheduler:
 
     def _request(self, session: AppMasterSession, request: ResourceRequest) -> None:
         topo = self.cluster.topology
-        if request.cores > topo.cores_per_node or request.memory > topo.memory_per_node:
+        if request.cores > topo.cores_per_node:
             raise RejectedRequest(
-                f"container shape {request.cores}c/{request.memory}B exceeds node capacity"
-            )
+                f"container wants {request.cores} cores, nodes have "
+                f"{topo.cores_per_node}")
+        for node in request.preferred_nodes:
+            if not 0 <= node < topo.node_count:
+                raise RejectedRequest(f"unknown preferred node {node}")
         if session.closed or self._sessions.get(session.app_id) is not session:
             raise SchedulerError("request without a registered application master")
         with self._lock:
@@ -324,7 +311,6 @@ class MultilevelScheduler:
                 raise UnknownContainer(cid)
             session.live.pop(cid, None)
             self._used_cores[container.node] -= container.cores
-            self._used_memory[container.node] -= container.memory
 
     def _release(self, session: AppMasterSession, container_ids) -> None:
         with self._lock:
@@ -339,71 +325,53 @@ class MultilevelScheduler:
             self._free(session, list(session.live))
             self._grant_pass()
 
-    def _fits(self, node: int, request: ResourceRequest) -> bool:
-        topo = self.cluster.topology
-        return (self._used_cores[node] + request.cores <= topo.cores_per_node
-                and self._used_memory[node] + request.memory <= topo.memory_per_node)
+    def _first_fit(self, cores: int, nodes) -> int | None:
+        """The first of nodes with `cores` cores free."""
+        limit = self.cluster.topology.cores_per_node - cores
+        return next((n for n in nodes if self._used_cores[n] <= limit), None)
 
-    def _grant_on(self, pending: _Pending, node: int, preferred: bool | None) -> None:
+    def _grant_on(self, pending: _Pending, node: int) -> None:
         request = pending.request
         self.cluster.charge("container_grant")
         container = Container(next(self._next_container), node, request.cores,
-                              request.memory, locality_preferred=preferred,
                               request_tag=request.tag)
         self._containers[container.id] = container
         self._used_cores[node] += request.cores
-        self._used_memory[node] += request.memory
         pending.session.live[container.id] = container
         pending.remaining -= 1
-        pending.session.events.put(GrantEvent(container))
+        pending.session.events.put(container)
 
     def _grant_pass(self) -> None:
-        """One scheduling round, FIFO over pending requests.  A request held
-        up only by its locality preference lets later requests through (and
-        ages toward the locality-wait bound); a request starved of capacity
-        blocks the queue, so FIFO order prevents permanent starvation.  Runs
-        under the lock."""
-        topo = self.cluster.topology
+        """One scheduling round, FIFO over pending requests.  A request tries
+        its preferred nodes, then every node once its locality wait has run
+        out.  A request held up only by its locality preference lets later
+        requests through (and ages toward the locality-wait bound); a request
+        starved of capacity blocks the queue, so FIFO order prevents
+        permanent starvation.  Runs under the lock."""
+        every_node = range(self.cluster.topology.node_count)
         for pending in list(self._pending):
             request = pending.request
+            nodes = request.preferred_nodes
+            if not nodes or pending.rounds_waited >= LOCALITY_WAIT_ROUNDS:
+                nodes = (*nodes, *every_node)
             while pending.remaining > 0:
-                node = None
-                preferred: bool | None = None
-                if request.preferred_nodes:
-                    for cand in request.preferred_nodes:
-                        if not 0 <= cand < topo.node_count:
-                            raise RejectedRequest(f"unknown preferred node {cand}")
-                        if self._fits(cand, request):
-                            node, preferred = cand, True
-                            break
-                    if node is None and pending.rounds_waited >= LOCALITY_WAIT_ROUNDS:
-                        for cand in range(topo.node_count):
-                            if self._fits(cand, request):
-                                node, preferred = cand, False
-                                break
-                else:
-                    for cand in range(topo.node_count):
-                        if self._fits(cand, request):
-                            node = cand
-                            break
+                node = self._first_fit(request.cores, nodes)
                 if node is None:
                     break
-                self._grant_on(pending, node, preferred)
+                self._grant_on(pending, node)
             if pending.remaining == 0:
                 self._pending.remove(pending)
                 continue
-            if not any(self._fits(n, request) for n in range(topo.node_count)):
+            if self._first_fit(request.cores, every_node) is None:
                 break  # starved of capacity: strict FIFO from here on
             pending.rounds_waited += 1  # held up by locality preference only
 
     # -- invariant probe (used by tests) -----------------------------------
 
     def capacity_ok(self) -> bool:
-        topo = self.cluster.topology
         with self._lock:
-            return all(u <= topo.cores_per_node for u in self._used_cores) and all(
-                m <= topo.memory_per_node for m in self._used_memory
-            )
+            return all(u <= self.cluster.topology.cores_per_node
+                       for u in self._used_cores)
 
 
 # ---------------------------------------------------------------------------
@@ -452,53 +420,3 @@ class DecentralizedScheduler:
             for node in nodes:
                 self.complete(node)
 
-
-# ---------------------------------------------------------------------------
-# Pilot overlay
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PilotShape:
-    node_count: int
-    cores_per_slot: int = 1
-
-
-class PilotHandle:
-    """A placeholder allocation; compute units run inside it with no further
-    resource-manager interaction."""
-
-    def __init__(self, cluster: Cluster, lease: NodeLease, shape: PilotShape):
-        self.cluster = cluster
-        self._lease = lease
-        self.nodes = lease.nodes
-        self.shape = shape
-        self._cu_count = 0
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.nodes) * self.cluster.topology.cores_per_node
-
-    def submit_cu(self, fn, *args, cores: int = 1, node: int | None = None):
-        """FIFO compute-unit submission onto the pilot's own slots."""
-        if cores > self.shape.cores_per_slot:
-            raise RejectedRequest(
-                f"compute unit wants {cores} cores, pilot slots have "
-                f"{self.shape.cores_per_slot}"
-            )
-        if node is None:
-            node = self.nodes[self._cu_count % len(self.nodes)]
-        elif node not in self.nodes:
-            raise RejectedRequest(f"node {node} is outside the pilot allocation")
-        self._cu_count += 1
-        return self.cluster.run_task(node, fn, *args, kind="cu")
-
-    def shutdown(self) -> None:
-        self._lease.release()
-
-
-def pilot_acquire(cluster: Cluster, scheduler, shape: PilotShape,
-                  app_id: str = "pilot") -> PilotHandle:
-    """Obtain the pilot's placeholder allocation with a single job submission
-    to a scheduler that leases whole nodes."""
-    return PilotHandle(cluster, scheduler.lease(app_id, shape.node_count), shape)

@@ -170,8 +170,7 @@ def _mixed_workload_multilevel() -> float:
             session = rm.register_app_master("gang")
             try:
                 session.request_containers(ResourceRequest(
-                    "gang", count=4, cores=TOPOLOGY.cores_per_node,
-                    memory=TOPOLOGY.memory_per_node))
+                    "gang", count=4, cores=TOPOLOGY.cores_per_node))
                 grants = session.wait_for_grants(4, timeout=60)
                 per_slot = GANG_TASK_SECONDS / TOPOLOGY.total_slots
                 futs = [cluster.run_task(c.node, _busy, per_slot,

@@ -91,6 +91,18 @@ class TestCompareAndReport:
         for scenario, verdict in bundle["verdicts"].items():
             assert f"verdict {scenario}: {verdict}" in offline
 
+    def test_report_keeps_incomplete_verdict(self, tmp_path, capsys):
+        # A compare whose second engine failed keeps the first engine's
+        # cell; its verdict must stay "incomplete" offline too.
+        bundle = {"reports": [],
+                  "cells": [{"scenario": "s", "engine": "mapreduce",
+                             "walls": [1.0]}],
+                  "verdicts": {"s": "incomplete"}}
+        path = tmp_path / "cmp.json"
+        path.write_text(json.dumps(bundle))
+        assert run_cli("report", str(path)) == 0
+        assert capsys.readouterr().out == "verdict s: incomplete\n"
+
     def test_single_engine_rejected(self):
         assert run_cli("compare", *TINY_ARGS, "--engines", "mpi-like") == 2
 

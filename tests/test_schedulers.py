@@ -1,5 +1,5 @@
 """Schedulers: gang atomicity, elastic container grants, locality-preferred
-placement, release and regrant, sampling placement, and the pilot overlay."""
+placement, release and regrant, sampling placement, and whole-node leases."""
 
 import threading
 import time
@@ -9,10 +9,9 @@ import pytest
 from ogrebench.costs import ZERO_COSTS
 from ogrebench.fabric import ClusterTopology, spawn_cluster
 from ogrebench.schedulers import (CentralizedScheduler, DecentralizedScheduler,
-                                  GrantEvent, JobRequest, MultilevelScheduler,
-                                  PilotShape, RejectedJob, RejectedRequest,
-                                  ResourceRequest, SchedulerError,
-                                  pilot_acquire)
+                                  JobRequest, MultilevelScheduler, RejectedJob,
+                                  RejectedRequest, ResourceRequest,
+                                  SchedulerError)
 
 
 @pytest.fixture
@@ -105,14 +104,15 @@ class TestMultilevel:
         held = blocker.wait_for_grants(8, timeout=10)
         assert {c.node for c in held} == {0, 1}
         app = rm.register_app_master("app")
+        prefs = (0, 1, 2)
         app.request_containers(ResourceRequest(
-            "app", count=4, preferred_nodes=(0, 1, 2)))
+            "app", count=4, preferred_nodes=prefs))
         # Node 2 is free and preferred: grants land there first.
         grants = app.wait_for_grants(4, timeout=10)
-        hit = [c for c in grants if c.locality_preferred]
+        hit = [c for c in grants if c.node in prefs]
         assert hit and all(c.node == 2 for c in hit)
         # The locality wait expires and remaining grants spill to node 3.
-        spilled = [c for c in grants if c.locality_preferred is False]
+        spilled = [c for c in grants if c.node not in prefs]
         # Spill only happens once node 2 fills up.
         assert all(c.node == 3 for c in spilled)
         assert rm.capacity_ok()
@@ -124,8 +124,9 @@ class TestMultilevel:
         held = blocker.wait_for_grants(4, timeout=10)
         assert {c.node for c in held} == {0}
         app = rm.register_app_master("app")
+        prefs = (0,)
         app.request_containers(ResourceRequest(
-            "app", count=1, preferred_nodes=(0,)))
+            "app", count=1, preferred_nodes=prefs))
         # Held up by preference only (node 0 stays full); grant passes
         # triggered by unrelated churn on other nodes age it past the wait
         # bound, after which it spills to a non-preferred node.
@@ -134,8 +135,7 @@ class TestMultilevel:
             churn.request_containers(ResourceRequest("churn", count=1))
             churn.release(churn.wait_for_grants(1, timeout=10))
         grant = app.wait_for_grants(1, timeout=10)[0]
-        assert grant.locality_preferred is False
-        assert grant.node != 0
+        assert grant.node not in prefs
 
     def test_release_returns_capacity_for_regrant(self, cluster):
         rm = MultilevelScheduler(cluster)
@@ -169,9 +169,27 @@ class TestMultilevel:
         rm = MultilevelScheduler(cluster)
         session = rm.register_app_master("app")
         session.request_containers(ResourceRequest("app", count=1, tag="b7"))
-        ev = session.next_event(timeout=10)
-        assert isinstance(ev, GrantEvent)
-        assert ev.container.request_tag == "b7"
+        assert session.next_event(timeout=10).request_tag == "b7"
+
+    def test_unknown_preferred_node_rejected_before_queueing(self):
+        cluster = spawn_cluster(ClusterTopology(2, 1), ZERO_COSTS)
+        try:
+            rm = MultilevelScheduler(cluster)
+            holder = rm.register_app_master("holder")
+            holder.request_containers(ResourceRequest(
+                "holder", count=1, preferred_nodes=(0,)))
+            assert holder.wait_for_grants(1, timeout=10)[0].node == 0
+            app = rm.register_app_master("app")
+            with pytest.raises(RejectedRequest, match="unknown preferred node 7"):
+                app.request_containers(ResourceRequest(
+                    "app", count=1, preferred_nodes=(0, 7)))
+            # The rejected request was never queued: another application's
+            # request is still granted.
+            other = rm.register_app_master("other")
+            other.request_containers(ResourceRequest("other", count=1))
+            assert other.wait_for_grants(1, timeout=10)[0].node == 1
+        finally:
+            cluster.shutdown()
 
 
 class TestDecentralized:
@@ -202,47 +220,28 @@ class TestDecentralized:
         assert [a.place() for _ in range(20)] == [b.place() for _ in range(20)]
 
 
-class TestPilot:
-    def test_100_cus_one_job_submission(self, cluster):
+class TestLease:
+    """``lease(app_id, n)``: n whole nodes under one job, all of them back
+    on release."""
+
+    def test_centralized_lease_one_job_and_release(self, cluster):
         sched = CentralizedScheduler(cluster)
-        pilot = pilot_acquire(cluster, sched, PilotShape(2), app_id="p")
-        try:
-            assert pilot.slot_count == 8
-            futs = [pilot.submit_cu(lambda i=i: i) for i in range(100)]
-            assert sorted(f.result(timeout=30) for f in futs) == list(range(100))
-            assert cluster.metrics.snapshot().jobs_launched == 1
-        finally:
-            pilot.shutdown()
+        lease = sched.lease("p", 2)
+        assert lease.nodes == (0, 1)
+        assert sched.free_nodes() == 2
+        assert cluster.metrics.snapshot().jobs_launched == 1
+        lease.release()
         assert sched.free_nodes() == 4
 
-    def test_pilot_over_multilevel(self, cluster):
+    def test_multilevel_lease_one_job_and_release(self, cluster):
         rm = MultilevelScheduler(cluster)
-        pilot = pilot_acquire(cluster, rm, PilotShape(4), app_id="p")
-        try:
-            futs = [pilot.submit_cu(lambda: 1) for _ in range(10)]
-            assert sum(f.result(timeout=30) for f in futs) == 10
-        finally:
-            pilot.shutdown()
+        lease = rm.lease("p", 4)
+        assert lease.nodes == (0, 1, 2, 3)
+        assert cluster.metrics.snapshot().jobs_launched == 1
+        lease.release()
         fresh = rm.register_app_master("fresh")
         fresh.request_containers(ResourceRequest("fresh", count=16))
         assert len(fresh.wait_for_grants(16, timeout=10)) == 16
-
-    def test_oversized_cu_rejected(self, cluster):
-        sched = CentralizedScheduler(cluster)
-        pilot = pilot_acquire(cluster, sched, PilotShape(1), app_id="p")
-        try:
-            with pytest.raises(RejectedRequest):
-                pilot.submit_cu(lambda: None, cores=2)
-            with pytest.raises(RejectedRequest):
-                pilot.submit_cu(lambda: None, node=3)
-        finally:
-            pilot.shutdown()
-
-    def test_empty_pilot_shutdown_releases(self, cluster):
-        sched = CentralizedScheduler(cluster)
-        pilot = pilot_acquire(cluster, sched, PilotShape(4), app_id="p")
-        pilot.shutdown()
-        assert sched.free_nodes() == 4
 
 
 class TestWave:
@@ -304,5 +303,17 @@ class TestWave:
             with pytest.raises(RuntimeError, match="first task broke"):
                 sched.run_wave("wave", [()] * 5, task)
             assert ran == [0]
+        finally:
+            cluster.shutdown()
+
+    def test_every_core_of_a_node_runs_a_container(self):
+        # All 8 tasks must run at once on one 8-core node, or the barrier
+        # breaks.
+        cluster = spawn_cluster(ClusterTopology(1, 8), ZERO_COSTS)
+        try:
+            barrier = threading.Barrier(8, timeout=3)
+            nodes = MultilevelScheduler(cluster).run_wave(
+                "wave", [()] * 8, lambda i, node: barrier.wait())
+            assert nodes == [0] * 8
         finally:
             cluster.shutdown()
