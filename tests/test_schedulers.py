@@ -244,6 +244,30 @@ class TestLease:
         assert len(fresh.wait_for_grants(16, timeout=10)) == 16
 
 
+class TestPilot:
+    """A pilot is a lease: compute units run as ``cu`` tasks on its nodes,
+    under the one job that acquired it."""
+
+    def test_100_cus_one_job_submission(self, cluster):
+        sched = CentralizedScheduler(cluster)
+        lease = sched.lease("p", 2)
+        try:
+            futs = [cluster.run_task(lease.nodes[i % 2], lambda i=i: i,
+                                     kind="cu") for i in range(100)]
+            assert sorted(cluster.join(futs)) == list(range(100))
+            assert cluster.metrics.snapshot().jobs_launched == 1
+        finally:
+            lease.release()
+        assert sched.free_nodes() == 4
+
+    def test_empty_pilot_shutdown_releases(self, cluster):
+        sched = CentralizedScheduler(cluster)
+        lease = sched.lease("p", 4)
+        assert sched.free_nodes() == 0
+        lease.release()
+        assert sched.free_nodes() == 4
+
+
 class TestWave:
     """``run_wave``: each architecture's placement, one job per wave, every
     slot back when it returns, and no task after a failure."""
